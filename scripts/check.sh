@@ -7,9 +7,11 @@
 #      test_engine, test_core, test_util — so data races on freed memory,
 #      container misuse and UB in the shard/learn stages surface loudly,
 #      plus test_robust for the checkpoint-envelope fuzz suite
-#      (EnvelopeFuzz.*) and test_tsdb for the history-store codec fuzz
+#      (EnvelopeFuzz.*), test_tsdb for the history-store codec fuzz
 #      suite (truncation/byte-flip/compound corruption against the Gorilla
-#      decoder) — both exist to be run under sanitizers.
+#      decoder) and test_serve's JSON codec suites (ServeJson.*, the
+#      /v1/ingest and /v1/score body fuzz/differential Codec*.*) — all
+#      exist to be run under sanitizers.
 #   3. (--faults) the fault-tolerance suites under the same sanitizers:
 #      test_robust (failpoints, envelope corruption, recovery rotation) and
 #      test_integration (kill-during-save at every writer stage, dirty-
@@ -113,13 +115,14 @@ export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
 export ASAN_OPTIONS=detect_leaks=0
 
 if ! $faults_only; then
-  echo "== sanitizers: ASan+UBSan over engine + core + tsdb + orf suites =="
+  echo "== sanitizers: ASan+UBSan over engine + core + tsdb + orf + serve codec suites =="
   # One --target invocation with all the names: repeating the --target flag
   # is generator-dependent (Makefiles honour only the last one), while the
   # multi-name form is portable CMake >= 3.15 and fails the script on the
   # first broken target.
   cmake --build build-asan -j "$(nproc)" \
-    --target test_engine test_core test_util test_robust test_tsdb test_orf
+    --target test_engine test_core test_util test_robust test_tsdb test_orf \
+    test_serve
   ./build-asan/tests/test_util
   ./build-asan/tests/test_core
   ./build-asan/tests/test_engine
@@ -133,6 +136,10 @@ if ! $faults_only; then
   # retention GC — heavy on spans into reused buffers and on file mmaps,
   # exactly what ASan is for.
   ./build-asan/tests/test_orf
+  # The request-body codec: a pull reader that decoders drive straight into
+  # row buffers, fuzzed with truncations, substitutions and compound
+  # mutations and diffed against the value-tree decoder.
+  ./build-asan/tests/test_serve --gtest_filter='ServeJson.*:Codec*.*'
 fi
 
 if $faults_only; then

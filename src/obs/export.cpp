@@ -1,9 +1,9 @@
 #include "obs/export.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -128,15 +128,42 @@ void append_json_key(std::string& out, const MetricId& id) {
 
 }  // namespace
 
-std::string format_double(double v) {
-  if (std::isnan(v)) return "NaN";
-  if (std::isinf(v)) return v > 0 ? "+Inf" : "-Inf";
-  char buf[64];
-  for (int precision = 1; precision <= 17; ++precision) {
-    std::snprintf(buf, sizeof(buf), "%.*g", precision, v);
-    if (std::strtod(buf, nullptr) == v) break;
+void append_double(std::string& out, double v) {
+  if (std::isnan(v)) {
+    out += "NaN";
+    return;
   }
-  return buf;
+  if (std::isinf(v)) {
+    out += v > 0 ? "+Inf" : "-Inf";
+    return;
+  }
+  // The contract is the shortest "%.Pg" (P = 1..17) that parses back to v.
+  // The shortest round-trip form's significant-digit count is a lower
+  // bound on that P, so the search starts there and almost always stops
+  // on its first try. to_chars(general, P) is defined as printf("%.Pg").
+  char buf[64];
+  char* const last = buf + sizeof buf;
+  const char* const shortest =
+      std::to_chars(buf, last, v, std::chars_format::scientific).ptr;
+  int digits = 0;
+  for (const char* c = buf; c != shortest && *c != 'e'; ++c) {
+    if (*c >= '0' && *c <= '9') ++digits;
+  }
+  char* end = buf;
+  for (int precision = std::max(digits, 1); precision <= 17; ++precision) {
+    end = std::to_chars(buf, last, v, std::chars_format::general, precision)
+              .ptr;
+    double back = 0.0;
+    std::from_chars(buf, end, back);
+    if (back == v) break;
+  }
+  out.append(buf, end);
+}
+
+std::string format_double(double v) {
+  std::string out;
+  append_double(out, v);
+  return out;
 }
 
 std::string to_prometheus(const Snapshot& snapshot) {

@@ -27,8 +27,13 @@ using JsonExtras = std::vector<std::pair<std::string, double>>;
 std::string to_json(const Snapshot& snapshot, const JsonExtras& extras = {});
 
 /// Shortest decimal form of `v` that parses back to exactly `v`
-/// ("0.1", "1.5", "33.554432"); shared by both exporters and exposed for
-/// tests.
+/// ("0.1", "1.5", "33.554432", "1e-06"): the output of printf("%.Pg") for
+/// the smallest P in 1..17 that round-trips; NaN and infinities print as
+/// "NaN", "+Inf", "-Inf". Shared by both exporters and the serving layer's
+/// JSON writer.
 std::string format_double(double v);
+
+/// format_double(v) appended to `out`, with no temporary string.
+void append_double(std::string& out, double v);
 
 }  // namespace obs

@@ -1,5 +1,7 @@
 #include "orf/service.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -25,6 +27,25 @@ std::size_t validated(const Config& config, std::size_t feature_count) {
   return feature_count;
 }
 
+/// One hexfloat WAL cell: exactly what snprintf(" %a") prints for the
+/// float widened to double. to_chars(hex) writes the magnitude without the
+/// "0x" prefix, so the sign and prefix go first; non-finite values (which
+/// reach the WAL before the engine's stage-0 rejection) keep printf.
+void append_hex_cell(std::string& out, float value) {
+  const double v = value;
+  char cell[48];
+  if (!std::isfinite(v)) {
+    out.append(cell, static_cast<std::size_t>(
+                         std::snprintf(cell, sizeof cell, " %a", v)));
+    return;
+  }
+  out += std::signbit(v) ? " -0x" : " 0x";
+  const char* const end = std::to_chars(cell, cell + sizeof cell,
+                                        std::fabs(v), std::chars_format::hex)
+                              .ptr;
+  out.append(cell, static_cast<std::size_t>(end - cell));
+}
+
 /// One ingest batch as a WAL record payload:
 ///   day <day> <reports>\n
 ///   <disk> <fate> <hexfloat features...>\n   (per report)
@@ -34,15 +55,11 @@ std::string encode_wal_batch(data::Day day,
                              std::span<const engine::DiskReport> batch) {
   std::string out = "day " + std::to_string(day) + ' ' +
                     std::to_string(batch.size()) + '\n';
-  char cell[48];
   for (const engine::DiskReport& report : batch) {
     out += std::to_string(report.disk);
     out += ' ';
     out += std::to_string(static_cast<int>(report.fate));
-    for (const float value : report.features) {
-      std::snprintf(cell, sizeof cell, " %a", static_cast<double>(value));
-      out += cell;
-    }
+    for (const float value : report.features) append_hex_cell(out, value);
     out += '\n';
   }
   return out;

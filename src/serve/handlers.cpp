@@ -1,7 +1,10 @@
 #include "serve/handlers.hpp"
 
 #include <cmath>
+#include <limits>
+#include <optional>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "obs/export.hpp"
@@ -42,91 +45,196 @@ Response wrong_method(const std::string& method, const std::string& target,
   return response;
 }
 
-/// Decode {"rows":[[...],...]} into one row-major float buffer.
-std::vector<float> decode_rows(const json::Value& doc,
-                               std::size_t feature_count) {
-  const json::Value* rows = doc.find("rows");
-  if (rows == nullptr || !rows->is_array()) {
-    throw BadRequest("body must be {\"rows\": [[...], ...]}");
+/// Streaming body decoding over json::Reader: values go straight into row
+/// buffers, and the walk visits the document exactly as json::parse does,
+/// so a syntax error is the same ParseError. The first semantic error is
+/// held until the whole document has parsed, so a syntax error anywhere in
+/// the body takes precedence and a 400's cause does not depend on where in
+/// the body the two sit. Once an error is held, the rest of the document is
+/// only validated.
+class BodyDecoder {
+ public:
+  using Kind = json::Reader::Kind;
+
+  explicit BodyDecoder(std::string_view body) : reader_(body) {}
+
+  json::Reader& reader() { return reader_; }
+  bool rejected() const { return cause_.has_value(); }
+  void reject(std::string cause) {
+    if (!cause_) cause_ = std::move(cause);
   }
-  std::vector<float> xs;
-  xs.reserve(rows->array.size() * feature_count);
-  for (std::size_t i = 0; i < rows->array.size(); ++i) {
-    const json::Value& row = rows->array[i];
-    if (!row.is_array() || row.array.size() != feature_count) {
-      throw BadRequest("row " + std::to_string(i) + " must be an array of " +
-                       std::to_string(feature_count) + " numbers");
+
+  /// Decode the document's top-level `name` member with read() (positioned
+  /// before that array); every other member is skipped but validated.
+  /// `shape` is the cause when there is no such array member.
+  template <typename Read>
+  void top_array(std::string_view name, const char* shape, Read&& read) {
+    const Kind kind = reader_.peek_value(0);
+    bool found = false;
+    if (kind == Kind::kObject) {
+      reader_.read_object([&](const std::string& key) {
+        const bool wanted = key == name;
+        const Kind value = reader_.peek_value(1);
+        if (wanted && value == Kind::kArray) {
+          found = true;
+          read();
+        } else {
+          reader_.skip(value, 1);
+        }
+      });
+    } else {
+      reader_.skip(kind, 0);
     }
-    for (const json::Value& cell : row.array) {
-      if (!cell.is_number()) {
-        throw BadRequest("row " + std::to_string(i) +
-                         " holds a non-numeric cell");
+    if (!found) reject(shape);
+    reader_.finish();
+    if (cause_) throw BadRequest(*cause_);
+  }
+
+  /// Read an array of cells at `depth` (its '[' next), appending its first
+  /// `feature_count` numbers to `out`. Returns the element count; `numeric`
+  /// turns false on any element that is not a number.
+  std::size_t read_cells(int depth, std::size_t feature_count,
+                         std::vector<float>& out, bool& numeric) {
+    std::size_t cells = 0;
+    reader_.read_array([&] {
+      const Kind cell = reader_.peek_value(depth + 1);
+      ++cells;
+      if (cell != Kind::kNumber) numeric = false;
+      if (cell == Kind::kNumber && cells <= feature_count) {
+        out.push_back(static_cast<float>(reader_.read_number()));
+      } else {
+        reader_.skip(cell, depth + 1);
       }
-      xs.push_back(static_cast<float>(cell.number));
-    }
+    });
+    return cells;
   }
+
+ private:
+  json::Reader reader_;
+  std::optional<std::string> cause_;
+};
+
+/// Decode {"rows":[[...],...]} into one row-major float buffer.
+std::vector<float> decode_rows(std::string_view body,
+                               std::size_t feature_count) {
+  using Kind = BodyDecoder::Kind;
+  BodyDecoder decoder(body);
+  json::Reader& reader = decoder.reader();
+  std::vector<float> xs;
+  const std::string shape = " must be an array of " +
+                            std::to_string(feature_count) + " numbers";
+  std::size_t index = 0;
+  decoder.top_array("rows", "body must be {\"rows\": [[...], ...]}", [&] {
+    reader.read_array([&] {
+      const std::size_t i = index++;
+      const auto row = [i] { return "row " + std::to_string(i); };
+      const Kind kind = reader.peek_value(2);
+      if (decoder.rejected() || kind != Kind::kArray) {
+        reader.skip(kind, 2);
+        if (!decoder.rejected()) decoder.reject(row() + shape);
+        return;
+      }
+      bool numeric = true;
+      if (decoder.read_cells(2, feature_count, xs, numeric) !=
+          feature_count) {
+        decoder.reject(row() + shape);
+      } else if (!numeric) {
+        decoder.reject(row() + " holds a non-numeric cell");
+      }
+    });
+  });
   return xs;
 }
 
-engine::DiskFate decode_fate(const json::Value& report, std::size_t index) {
-  const json::Value* fate = report.find("fate");
-  if (fate == nullptr) return engine::DiskFate::kOperating;
-  if (fate->is_string()) {
-    if (fate->string == "operating") return engine::DiskFate::kOperating;
-    if (fate->string == "failure") return engine::DiskFate::kFailure;
-    if (fate->string == "retirement") return engine::DiskFate::kRetirement;
+/// operating|failure|retirement into `fate`; false on anything else.
+bool parse_fate(std::string_view text, engine::DiskFate& fate) {
+  if (text == "operating") {
+    fate = engine::DiskFate::kOperating;
+  } else if (text == "failure") {
+    fate = engine::DiskFate::kFailure;
+  } else if (text == "retirement") {
+    fate = engine::DiskFate::kRetirement;
+  } else {
+    return false;
   }
-  throw BadRequest("report " + std::to_string(index) +
-                   ": fate must be operating|failure|retirement");
+  return true;
 }
 
-/// Decoded ingest batch; `features` owns the storage the report spans
-/// reference (stable: sized up front, never reallocated).
+/// Decoded ingest batch: `features` is one row-major buffer, feature_count
+/// floats per report, that the report spans point into.
 struct IngestBatch {
-  std::vector<std::vector<float>> features;
+  std::vector<float> features;
   std::vector<engine::DiskReport> reports;
 };
 
-IngestBatch decode_reports(const json::Value& doc,
-                           std::size_t feature_count) {
-  const json::Value* reports = doc.find("reports");
-  if (reports == nullptr || !reports->is_array()) {
-    throw BadRequest("body must be {\"reports\": [{...}, ...]}");
-  }
+/// Decode {"reports":[{"disk":..,"features":[..],"fate":..},...]}. Members
+/// may come in any order; each report is checked once it closes, disk
+/// first, then features, then fate.
+IngestBatch decode_reports(std::string_view body, std::size_t feature_count) {
+  using Kind = BodyDecoder::Kind;
+  BodyDecoder decoder(body);
+  json::Reader& reader = decoder.reader();
   IngestBatch batch;
-  batch.features.resize(reports->array.size());
-  batch.reports.reserve(reports->array.size());
-  for (std::size_t i = 0; i < reports->array.size(); ++i) {
-    const json::Value& report = reports->array[i];
-    if (!report.is_object()) {
-      throw BadRequest("report " + std::to_string(i) + " must be an object");
-    }
-    const json::Value* disk = report.find("disk");
-    if (disk == nullptr || !disk->is_number() ||
-        disk->number != std::floor(disk->number) || disk->number < 0) {
-      throw BadRequest("report " + std::to_string(i) +
-                       ": disk must be a non-negative integer");
-    }
-    const json::Value* features = report.find("features");
-    if (features == nullptr || !features->is_array() ||
-        features->array.size() != feature_count) {
-      throw BadRequest("report " + std::to_string(i) +
-                       ": features must be an array of " +
-                       std::to_string(feature_count) + " numbers");
-    }
-    std::vector<float>& row = batch.features[i];
-    row.reserve(feature_count);
-    for (const json::Value& cell : features->array) {
-      if (!cell.is_number()) {
-        throw BadRequest("report " + std::to_string(i) +
-                         " holds a non-numeric feature");
-      }
-      row.push_back(static_cast<float>(cell.number));
-    }
-    batch.reports.push_back(engine::DiskReport{
-        .disk = static_cast<data::DiskId>(disk->number),
-        .features = row,
-        .fate = decode_fate(report, i)});
+  std::string fate_text;
+  std::size_t index = 0;
+  decoder.top_array(
+      "reports", "body must be {\"reports\": [{...}, ...]}", [&] {
+        reader.read_array([&] {
+          const std::size_t i = index++;
+          const auto report = [i] { return "report " + std::to_string(i); };
+          const Kind kind = reader.peek_value(2);
+          if (decoder.rejected() || kind != Kind::kObject) {
+            reader.skip(kind, 2);
+            if (!decoder.rejected()) {
+              decoder.reject(report() + " must be an object");
+            }
+            return;
+          }
+          std::optional<double> disk;
+          std::optional<std::size_t> cells;  // set when features is an array
+          bool numeric = true;
+          engine::DiskFate fate = engine::DiskFate::kOperating;
+          bool fate_ok = true;  // an absent fate means operating
+          reader.read_object([&](const std::string& key) {
+            const Kind value = reader.peek_value(3);
+            if (key == "disk" && value == Kind::kNumber) {
+              disk = reader.read_number();
+            } else if (key == "features" && value == Kind::kArray) {
+              cells = decoder.read_cells(3, feature_count, batch.features,
+                                         numeric);
+            } else if (key == "fate" && value == Kind::kString) {
+              reader.read_string(fate_text);
+              fate_ok = parse_fate(fate_text, fate);
+            } else {
+              if (key == "fate") fate_ok = false;
+              reader.skip(value, 3);
+            }
+          });
+          // A disk id past DiskId's range would make the cast below UB.
+          if (!disk || *disk != std::floor(*disk) || *disk < 0 ||
+              *disk > std::numeric_limits<data::DiskId>::max()) {
+            decoder.reject(report() + ": disk must be a non-negative integer");
+          } else if (cells != feature_count) {
+            decoder.reject(report() + ": features must be an array of " +
+                           std::to_string(feature_count) + " numbers");
+          } else if (!numeric) {
+            decoder.reject(report() + " holds a non-numeric feature");
+          } else if (!fate_ok) {
+            decoder.reject(report() +
+                           ": fate must be operating|failure|retirement");
+          } else {
+            batch.reports.push_back(engine::DiskReport{
+                .disk = static_cast<data::DiskId>(*disk),
+                .features = {},
+                .fate = fate});
+          }
+        });
+      });
+  // The buffer is complete, so its storage is final: point the spans in.
+  for (std::size_t r = 0; r < batch.reports.size(); ++r) {
+    batch.reports[r].features =
+        std::span<const float>(batch.features)
+            .subspan(r * feature_count, feature_count);
   }
   return batch;
 }
@@ -207,8 +315,8 @@ Response Api::handle(const Request& request) {
 }
 
 Response Api::score(const Request& request) {
-  const json::Value doc = json::parse(request.body);
-  const std::vector<float> xs = decode_rows(doc, service_.feature_count());
+  const std::vector<float> xs =
+      decode_rows(request.body, service_.feature_count());
   std::vector<orf::Scored> scored;
   service_.score(xs, scored);
   return render_scores(scored);
@@ -217,8 +325,7 @@ Response Api::score(const Request& request) {
 bool Api::decode_score_rows(const Request& request, std::vector<float>& xs,
                             Response& error) const {
   try {
-    const json::Value doc = json::parse(request.body);
-    xs = decode_rows(doc, service_.feature_count());
+    xs = decode_rows(request.body, service_.feature_count());
     return true;
   } catch (const json::ParseError& cause) {
     error = error_response(400, cause.what());
@@ -229,48 +336,53 @@ bool Api::decode_score_rows(const Request& request, std::vector<float>& xs,
 }
 
 Response Api::render_scores(std::span<const orf::Scored> scored) const {
-  json::Array results;
-  results.reserve(scored.size());
-  for (const orf::Scored& s : scored) {
-    results.push_back(json::Value::of(json::Object{
-        {"score", json::Value::of(s.score)},
-        {"alarm", json::Value::of(s.alarm)}}));
+  Response response;
+  std::string& out = response.body;
+  out.reserve(32 + 40 * scored.size());
+  out += "{\"count\":";
+  json::append_number(out, static_cast<double>(scored.size()));
+  out += ",\"results\":[";
+  for (std::size_t i = 0; i < scored.size(); ++i) {
+    out += i == 0 ? "{\"score\":" : ",{\"score\":";
+    json::append_number(out, scored[i].score);
+    out += scored[i].alarm ? ",\"alarm\":true}" : ",\"alarm\":false}";
   }
-  return json_response(
-      200, json::Value::of(json::Object{
-               {"count", json::Value::of(static_cast<double>(scored.size()))},
-               {"results", json::Value::of(std::move(results))}}));
+  out += "]}";
+  return response;
 }
 
 Response Api::ingest(const Request& request) {
-  const json::Value doc = json::parse(request.body);
-  IngestBatch batch = decode_reports(doc, service_.feature_count());
+  const IngestBatch batch =
+      decode_reports(request.body, service_.feature_count());
   std::vector<engine::DayOutcome> outcomes;
   const orf::IngestStats stats = service_.ingest(batch.reports, outcomes);
 
-  json::Array rendered;
-  rendered.reserve(outcomes.size());
-  for (const engine::DayOutcome& outcome : outcomes) {
-    rendered.push_back(json::Value::of(json::Object{
-        {"score", json::Value::of(outcome.score)},
-        {"alarm", json::Value::of(outcome.alarm)},
-        {"rejected", json::Value::of(outcome.rejected)}}));
+  Response response;
+  std::string& out = response.body;
+  out.reserve(160 + 64 * outcomes.size());
+  out += "{\"day\":";
+  json::append_number(out, static_cast<double>(stats.day));
+  out += ",\"accepted\":";
+  json::append_number(out, static_cast<double>(stats.accepted));
+  out += ",\"rejected\":{\"non_finite\":";
+  json::append_number(out, static_cast<double>(stats.rejected_non_finite));
+  out += ",\"duplicate\":";
+  json::append_number(out, static_cast<double>(stats.rejected_duplicate));
+  out += "},\"outcomes\":[";
+  for (std::size_t i = 0; i < outcomes.size(); ++i) {
+    out += i == 0 ? "{\"score\":" : ",{\"score\":";
+    json::append_number(out, outcomes[i].score);
+    out += outcomes[i].alarm ? ",\"alarm\":true" : ",\"alarm\":false";
+    out += outcomes[i].rejected ? ",\"rejected\":true}"
+                                : ",\"rejected\":false}";
   }
-  json::Object body{
-      {"day", json::Value::of(static_cast<double>(stats.day))},
-      {"accepted", json::Value::of(static_cast<double>(stats.accepted))},
-      {"rejected",
-       json::Value::of(json::Object{
-           {"non_finite",
-            json::Value::of(static_cast<double>(stats.rejected_non_finite))},
-           {"duplicate",
-            json::Value::of(static_cast<double>(stats.rejected_duplicate))}})},
-      {"outcomes", json::Value::of(std::move(rendered))}};
+  out += ']';
   if (!stats.checkpoint_path.empty()) {
-    body.emplace_back("checkpoint",
-                      json::Value::of(std::string(stats.checkpoint_path)));
+    out += ",\"checkpoint\":";
+    json::append_string(out, stats.checkpoint_path);
   }
-  return json_response(200, json::Value::of(std::move(body)));
+  out += '}';
+  return response;
 }
 
 Response Api::metrics() {

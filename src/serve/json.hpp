@@ -1,12 +1,19 @@
-// Minimal JSON for the serving layer: a value tree, a strict recursive
-// parser, and a writer.
+// Minimal JSON for the serving layer: a strict pull reader, a value tree
+// built on it, and a writer.
 //
 // Scope is exactly what the orfd request/response bodies need — UTF-8
-// strings with the standard escapes, finite doubles, arrays, objects (order
-// preserved; duplicate keys rejected). No external dependency, no streaming:
-// request bodies are already bounded by ServeSection::max_body_bytes before
-// they reach the parser. Errors carry the byte offset and a short reason so
-// a 400 response can say *why* the body was malformed.
+// strings with the standard escapes, finite doubles in the RFC 8259 number
+// grammar, arrays, objects (order preserved; duplicate keys rejected). No
+// external dependency. Request bodies are already bounded by
+// ServeSection::max_body_bytes before they reach the reader. Errors carry
+// the byte offset and a short reason so a 400 response can say *why* the
+// body was malformed.
+//
+// One grammar, two consumers: json::parse builds a Value tree on top of
+// the Reader, and the hot request decoders (serve/handlers.cpp) pull the
+// same Reader straight into their row buffers. Both walk a document through
+// the same primitives in the same order, so a malformed body fails with
+// the same ParseError either way.
 #pragma once
 
 #include <cstddef>
@@ -87,6 +94,88 @@ struct Value {
   const Value* find(std::string_view key) const;
 };
 
+/// Pull reader over one JSON document. A value is read in two steps:
+/// peek_value() classifies it (enforcing the nesting limit), then exactly
+/// one of read_literal / read_number / read_string / read_array /
+/// read_object / skip consumes it. finish() checks nothing but whitespace
+/// follows the document.
+class Reader {
+ public:
+  /// Values nested deeper than this fail with "nesting too deep".
+  static constexpr int kMaxDepth = 64;
+
+  enum class Kind { kNull, kTrue, kFalse, kString, kNumber, kArray, kObject };
+
+  explicit Reader(std::string_view text) : text_(text) {}
+
+  /// Start the value at nesting `depth` (the document is depth 0): skip
+  /// whitespace and classify by first byte. Anything that starts no other
+  /// kind classifies as kNumber and fails in read_number.
+  Kind peek_value(int depth);
+
+  /// Consume the literal a kNull/kTrue/kFalse peek announced.
+  void read_literal(Kind kind);
+  /// Consume a number: RFC 8259 grammar, finite, nearest double.
+  double read_number();
+  /// Consume a string, writing its decoded bytes over `out`.
+  void read_string(std::string& out);
+
+  /// Consume an array: element() runs once per element, positioned before
+  /// it, and must consume it (peek_value at the array's depth + 1).
+  template <typename Element>
+  void read_array(Element&& element) {
+    if (!open('[', ']')) return;
+    do {
+      element();
+    } while (next(']', "expected ',' or ']'"));
+  }
+
+  /// Consume an object: member(key) runs once per member after its key and
+  /// ':' are read, and must consume the value. `key` is decoded and checked
+  /// unique within the object; use it before consuming the value (nested
+  /// objects reuse its storage).
+  template <typename Member>
+  void read_object(Member&& member) {
+    const std::size_t base = key_count_;
+    if (open('{', '}')) {
+      do {
+        member(read_key(base));
+      } while (next('}', "expected ',' or '}'"));
+    }
+    key_count_ = base;
+  }
+
+  /// Consume (and fully validate) a value of the peeked `kind` at `depth`.
+  void skip(Kind kind, int depth);
+
+  /// Only whitespace may follow the document.
+  void finish();
+
+ private:
+  [[noreturn]] void fail(const std::string& reason) const {
+    throw ParseError(pos_, reason);
+  }
+  void skip_space();
+  char peek();
+  void expect(char c, const char* what);
+  /// Consume `opener`; false (closer consumed too) when the container is
+  /// empty.
+  bool open(char opener, char closer);
+  /// After an element: true on ',', false on `closer`, else fail(what).
+  bool next(char closer, const char* what);
+  /// Read `"key":` into the key stack, rejecting a key already seen among
+  /// the object's keys at [base, key_count_).
+  const std::string& read_key(std::size_t base);
+
+  std::string_view text_;
+  std::size_t pos_ = 0;
+  /// Keys of every object still open, innermost last; entries past
+  /// key_count_ are spare capacity reused by later objects.
+  std::vector<std::string> keys_;
+  std::size_t key_count_ = 0;
+  std::string scratch_;  ///< skipped strings land here
+};
+
 /// Parse a complete JSON document (throws ParseError; trailing non-space
 /// input is an error).
 Value parse(std::string_view text);
@@ -94,5 +183,11 @@ Value parse(std::string_view text);
 /// Compact serialization. Doubles use the shortest round-tripping form
 /// (obs::format_double), so responses are platform-stable.
 std::string dump(const Value& value);
+
+/// The writer's pieces, for handlers that render a response straight into
+/// its body: a number as obs::format_double prints it, and a quoted,
+/// escaped string. dump() is built from these, so the bytes agree.
+void append_number(std::string& out, double value);
+void append_string(std::string& out, std::string_view s);
 
 }  // namespace serve::json

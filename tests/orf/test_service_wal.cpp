@@ -6,7 +6,10 @@
 // batches.
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -203,6 +206,68 @@ TEST_F(ServiceWal, CheckpointFailureDegradesWithoutFailingTheAckedBatch) {
   EXPECT_TRUE(service.readiness().ready);
   EXPECT_NO_THROW(service.ingest(make_batch(1, storage), outcomes));
   EXPECT_EQ(service.next_day(), 2);
+}
+
+TEST_F(ServiceWal, WalCellsArePrintfHexfloatsAndReplayBitIdentically) {
+  // Edge-case cells: both zeros, float subnormals, the extremes, and the
+  // non-finite values that reach the WAL before stage-0 rejects their row.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const std::vector<std::vector<float>> rows = {
+      {0.0f, -0.0f, FLT_TRUE_MIN, -FLT_TRUE_MIN},
+      {FLT_MIN / 4, FLT_MAX, -FLT_MAX, 0.1f},
+      {nan, inf, -inf, 1.0f},
+      {-nan, 1.5f, -2.25f, 3e-39f},
+      {FLT_MIN, -FLT_MIN, 1e30f, -1e-30f}};
+  std::vector<engine::DiskReport> batch;
+  std::string expected = "day 0 " + std::to_string(rows.size()) + "\n";
+  for (std::size_t d = 0; d < rows.size(); ++d) {
+    const auto fate = d == 4 ? engine::DiskFate::kFailure
+                             : engine::DiskFate::kOperating;
+    batch.push_back(engine::DiskReport{.disk = static_cast<data::DiskId>(d),
+                                       .features = rows[d],
+                                       .fate = fate});
+    expected +=
+        std::to_string(d) + ' ' + std::to_string(static_cast<int>(fate));
+    for (const float cell : rows[d]) {
+      char text[48];
+      std::snprintf(text, sizeof text, " %a", static_cast<double>(cell));
+      expected += text;
+    }
+    expected += '\n';
+  }
+
+  // Non-finite rows are skipped, the rest (extremes included) reach the
+  // scaler and the forest, so the saved state pins every replayed float.
+  orf::Config skip = base_config();
+  skip.engine.ingest_errors = robust::RowErrorPolicy::kSkip;
+  orf::Config durable = durable_config();
+  durable.engine.ingest_errors = robust::RowErrorPolicy::kSkip;
+  std::vector<engine::DayOutcome> outcomes;
+  orf::Service reference(kFeatures, skip);
+  reference.ingest(batch, outcomes);
+  ingest_days(reference, 1, 3);
+  {
+    orf::Service service(kFeatures, durable);
+    service.ingest(batch, outcomes);
+    ingest_days(service, 1, 3);
+  }
+
+  std::vector<std::string> payloads;
+  {
+    robust::IngestWal wal(
+        robust::IngestWal::Options{.directory = (dir_ / "wal").string()});
+    wal.replay(0, [&](const robust::IngestWal::Record& record) {
+      payloads.emplace_back(record.payload);
+    });
+  }
+  ASSERT_EQ(payloads.size(), 3u);
+  EXPECT_EQ(payloads[0], expected);
+
+  durable.robust.resume = true;
+  orf::Service recovered(kFeatures, durable);
+  EXPECT_EQ(recovered.wal_replayed_records(), 3u);
+  EXPECT_EQ(state_of(recovered), state_of(reference));
 }
 
 TEST_F(ServiceWal, ProbeRecordsReplayAsNoOps) {

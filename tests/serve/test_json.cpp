@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
+#include <vector>
 
 namespace {
 
@@ -82,6 +84,62 @@ TEST(ServeJson, RejectsMalformedDocuments) {
   EXPECT_THROW(parse("{\"a\":1,\"a\":2}"), ParseError);  // duplicate key
   EXPECT_THROW(parse("--3"), ParseError);
   EXPECT_THROW(parse("1e999"), ParseError);        // overflows to inf
+}
+
+TEST(ServeJson, NumbersFollowTheRfc8259Grammar) {
+  for (const char* text : {"01", ".5", "1.", "-.5", "1.e3", "-01.0"}) {
+    SCOPED_TRACE(text);
+    try {
+      parse(text);
+      FAIL() << "accepted a non-RFC 8259 number";
+    } catch (const ParseError& error) {
+      EXPECT_EQ(error.offset(), 0u);
+      EXPECT_NE(std::string(error.what()).find("malformed number"),
+                std::string::npos);
+    }
+    EXPECT_THROW(parse(std::string("[1,") + text + "]"), ParseError);
+  }
+  EXPECT_EQ(parse("0").number, 0.0);
+  EXPECT_TRUE(std::signbit(parse("-0").number));
+  EXPECT_DOUBLE_EQ(parse("-0.5e-3").number, -0.0005);
+  EXPECT_DOUBLE_EQ(parse("10").number, 10.0);
+  EXPECT_DOUBLE_EQ(parse("1E+3").number, 1000.0);
+  EXPECT_DOUBLE_EQ(parse("2e3").number, 2000.0);
+}
+
+TEST(ServeJson, AppendHelpersMatchDump) {
+  std::string out = "<";
+  serve::json::append_number(out, 0.1);
+  serve::json::append_string(out, "a\"b\x01");
+  EXPECT_EQ(out, "<" + serve::json::dump(Value::of(0.1)) +
+                     serve::json::dump(Value::of(std::string("a\"b\x01"))));
+}
+
+TEST(ServeJson, ReaderPullsValuesInDocumentOrder) {
+  using serve::json::Reader;
+  Reader reader(R"({"rows":[[1,2.5],[3,"x"]],"skip":{"deep":[null,true]}})");
+  std::vector<double> numbers;
+  std::vector<std::string> keys;
+  ASSERT_EQ(reader.peek_value(0), Reader::Kind::kObject);
+  reader.read_object([&](const std::string& key) {
+    keys.push_back(key);
+    const Reader::Kind kind = reader.peek_value(1);
+    if (key != "rows") return reader.skip(kind, 1);
+    reader.read_array([&] {
+      ASSERT_EQ(reader.peek_value(2), Reader::Kind::kArray);
+      reader.read_array([&] {
+        const Reader::Kind cell = reader.peek_value(3);
+        if (cell == Reader::Kind::kNumber) {
+          numbers.push_back(reader.read_number());
+        } else {
+          reader.skip(cell, 3);
+        }
+      });
+    });
+  });
+  reader.finish();
+  EXPECT_EQ(keys, (std::vector<std::string>{"rows", "skip"}));
+  EXPECT_EQ(numbers, (std::vector<double>{1.0, 2.5, 3.0}));
 }
 
 TEST(ServeJson, RejectsRunawayNesting) {

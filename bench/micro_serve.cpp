@@ -340,8 +340,6 @@ struct Options {
   std::size_t rows = 8;
   std::size_t depth = 1;
   std::size_t workers = 0;
-  std::size_t batch_max_rows = 512;
-  std::size_t batch_max_wait_us = 200;
   std::string mode = "both";
   std::string bench_json = "BENCH_serve.json";
   std::string attach;  ///< "HOST:PORT" — drive an external orfd
@@ -363,8 +361,6 @@ int main(int argc, char** argv) {
       {"rows", "N", "rows per /v1/score request"},
       {"pipeline", "D", "requests in flight per connection"},
       {"workers", "N", "reactor event-loop threads (0 = auto)"},
-      {"batch-max-rows", "N", "micro-batch row cap (reactor mode)"},
-      {"batch-max-wait-us", "US", "micro-batch latency bound (reactor mode)"},
       {"mode", "M", "both | reactor | blocking"},
       {"bench-json", "PATH", "JSONL output (one line per mode)"},
       {"attach", "HOST:PORT", "drive an external orfd instead"},
@@ -383,11 +379,6 @@ int main(int argc, char** argv) {
         flags.get_int("pipeline", static_cast<std::int64_t>(options.depth)));
     options.workers = static_cast<std::size_t>(
         flags.get_int("workers", static_cast<std::int64_t>(options.workers)));
-    options.batch_max_rows = static_cast<std::size_t>(flags.get_int(
-        "batch-max-rows", static_cast<std::int64_t>(options.batch_max_rows)));
-    options.batch_max_wait_us = static_cast<std::size_t>(
-        flags.get_int("batch-max-wait-us",
-                      static_cast<std::int64_t>(options.batch_max_wait_us)));
     options.mode = flags.get("mode", options.mode);
     options.bench_json = flags.get("bench-json", options.bench_json);
     options.attach = flags.get("attach", options.attach);
@@ -415,8 +406,6 @@ int main(int argc, char** argv) {
     orf::Config config;
     config.serve.port = 0;
     config.serve.workers = options.workers;
-    config.serve.batch_max_rows = options.batch_max_rows;
-    config.serve.batch_max_wait_us = options.batch_max_wait_us;
     config.serve.threads = options.connections;
     config.serve.max_in_flight =
         std::max<std::size_t>(config.serve.max_in_flight,

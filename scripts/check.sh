@@ -139,7 +139,7 @@ if ! $faults_only; then
   # The request-body codec: a pull reader that decoders drive straight into
   # row buffers, fuzzed with truncations, substitutions and compound
   # mutations and diffed against the value-tree decoder.
-  ./build-asan/tests/test_serve --gtest_filter='ServeJson.*:Codec*.*'
+  ./build-asan/tests/test_serve --gtest_filter='ServeJson.*:Codec*.*:HttpFuzz.*'
 fi
 
 if $faults_only; then

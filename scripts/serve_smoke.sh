@@ -185,10 +185,11 @@ for BACKEND in orf mondrian; do
   echo "== soak [$BACKEND]: $SOAK_CONNS keep-alive conns, pipelined score =="
   # The micro-batcher sits above the ModelBackend seam, so both backends
   # must survive the same connection storm with the same accounting.
-  # A generous latency bound lets flush-on-full dominate flush-on-timeout,
-  # which is what the >=256-row coalescing floor below is asserting.
-  start_daemon "$WORK/soak_$BACKEND.log" --backend "$BACKEND" \
-    --batch-max-wait-us 2000
+  # The batcher flushes whenever its flusher is free, so everything that
+  # arrives during one flush rides the next: under this storm batches grow
+  # by themselves, which is what the >=256-row coalescing floor below is
+  # asserting.
+  start_daemon "$WORK/soak_$BACKEND.log" --backend "$BACKEND"
   BEFORE=$(snapshot)
   CONNS_BEFORE=$(metric_of orf_serve_connections_total <<<"$BEFORE")
   REQS_BEFORE=$(score_requests_of <<<"$BEFORE")

@@ -111,10 +111,6 @@ constexpr std::array kFlagSpecs = {
                    "daemon worker threads (blocking mode)"},
     util::FlagSpec{"serve-workers", "N",
                    "reactor event-loop threads (0 = auto)"},
-    util::FlagSpec{"batch-max-rows", "N",
-                   "score micro-batch flush threshold in rows"},
-    util::FlagSpec{"batch-max-wait-us", "US",
-                   "score micro-batch latency bound"},
     util::FlagSpec{"idle-timeout-ms", "MS",
                    "reactor idle/stalled connection timeout"},
     util::FlagSpec{"max-in-flight", "N",
@@ -185,12 +181,6 @@ void Config::validate() const {
     fail("serve.mode must be reactor|blocking, got '" + serve.mode + "'");
   }
   if (serve.threads == 0) fail("serve.threads must be >= 1");
-  if (serve.batch_max_rows == 0) {
-    fail("serve.batch_max_rows must be >= 1");
-  }
-  if (serve.batch_max_wait_us < 0) {
-    fail("serve.batch_max_wait_us must be >= 0");
-  }
   if (serve.idle_timeout_ms <= 0) {
     fail("serve.idle_timeout_ms must be positive");
   }
@@ -402,11 +392,6 @@ Config Config::from_flags(const util::Flags& flags) {
       "serve-threads", static_cast<std::int64_t>(config.serve.threads)));
   config.serve.workers = static_cast<std::size_t>(source.get_int(
       "serve-workers", static_cast<std::int64_t>(config.serve.workers)));
-  config.serve.batch_max_rows = static_cast<std::size_t>(source.get_int(
-      "batch-max-rows",
-      static_cast<std::int64_t>(config.serve.batch_max_rows)));
-  config.serve.batch_max_wait_us = static_cast<long>(source.get_int(
-      "batch-max-wait-us", config.serve.batch_max_wait_us));
   config.serve.idle_timeout_ms = static_cast<long>(
       source.get_int("idle-timeout-ms", config.serve.idle_timeout_ms));
   config.serve.max_in_flight = static_cast<std::size_t>(source.get_int(

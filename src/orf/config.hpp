@@ -125,12 +125,6 @@ struct ServeSection {
   /// Reactor event-loop threads (0 = auto: hardware concurrency clamped to
   /// [1, 8]). Each worker owns its connections exclusively.
   std::size_t workers = 0;
-  /// Micro-batch flush threshold: concurrently queued /v1/score rows are
-  /// coalesced into one score_batch call of up to this many rows.
-  std::size_t batch_max_rows = 512;
-  /// Micro-batch latency bound: a queued score row never waits longer than
-  /// this before its batch is flushed, full or not.
-  long batch_max_wait_us = 1000;
   /// Reactor connection timeout, milliseconds: an idle keep-alive
   /// connection — or a stalled client that stops reading mid-response — is
   /// closed after this long without socket progress.

@@ -4,17 +4,15 @@
 
 namespace serve {
 
-ScoreBatcher::ScoreBatcher(Api& api, const orf::ServeSection& options)
-    : api_(api), options_(options) {
+ScoreBatcher::ScoreBatcher(Api& api, const orf::ServeSection& /*options*/)
+    : api_(api) {
   obs::Registry& registry = api_.service().metrics_registry();
   batch_rows_ = &registry.histogram(
       "orf_serve_batch_rows", "rows coalesced per score_batch flush",
       obs::batch_rows_buckets());
   const char* help = "micro-batch flushes by cause";
-  flush_full_ = &registry.counter("orf_serve_batch_flush_total", help,
-                                  {{"cause", "full"}});
-  flush_timeout_ = &registry.counter("orf_serve_batch_flush_total", help,
-                                     {{"cause", "timeout"}});
+  flush_ready_ = &registry.counter("orf_serve_batch_flush_total", help,
+                                   {{"cause", "ready"}});
   flush_drain_ = &registry.counter("orf_serve_batch_flush_total", help,
                                    {{"cause", "drain"}});
 }
@@ -58,10 +56,11 @@ void ScoreBatcher::submit(std::vector<float> xs, std::size_t rows,
   Pending pending{std::move(xs), rows, std::move(done),
                   std::chrono::steady_clock::now()};
   bool queued = false;
+  bool wake = false;
   {
     std::lock_guard lock(mu_);
     if (!stopping_) {
-      pending_rows_ += pending.rows;
+      wake = pending_.empty();
       pending_.push_back(std::move(pending));
       queued = true;
     }
@@ -71,57 +70,32 @@ void ScoreBatcher::submit(std::vector<float> xs, std::size_t rows,
     // score this request alone, preserving the response contract.
     std::vector<Pending> batch;
     batch.push_back(std::move(pending));
-    flush(std::move(batch), "drain");
+    flush(std::move(batch), *flush_drain_);
     return;
   }
-  // Every enqueue wakes the flusher: the first arms the deadline timer,
-  // later ones let it notice the batch filling (the wait predicates
-  // re-check, so spurious wakes are harmless).
-  cv_.notify_one();
+  // The flusher sleeps only on an empty queue, and re-checks under the
+  // mutex before sleeping, so only the first request onto an empty queue
+  // needs to wake it; later ones ride along with the next swap.
+  if (wake) cv_.notify_one();
 }
 
 void ScoreBatcher::flusher_loop() {
   std::unique_lock lock(mu_);
   while (true) {
     cv_.wait(lock, [this] { return stopping_ || !pending_.empty(); });
-    if (stopping_) break;
-    const char* cause = "timeout";
-    if (pending_rows_ < options_.batch_max_rows) {
-      // Latency bound: sleep until the oldest request's deadline, waking
-      // early if the batch fills (or stop() drains us).
-      const auto deadline =
-          pending_.front().enqueued +
-          std::chrono::microseconds(options_.batch_max_wait_us);
-      cv_.wait_until(lock, deadline, [this] {
-        return stopping_ || pending_rows_ >= options_.batch_max_rows;
-      });
-    }
-    if (pending_.empty()) continue;  // drained by stop() while waiting
-    if (stopping_) {
-      cause = "drain";  // stop() cut the wait short; this flush is the drain
-    } else if (pending_rows_ >= options_.batch_max_rows) {
-      cause = "full";
-    }
+    // After stop() this is the drain: everything still queued is scored
+    // before the thread exits, so stop() never abandons a request.
+    if (pending_.empty()) break;
+    obs::Counter& cause = stopping_ ? *flush_drain_ : *flush_ready_;
     std::vector<Pending> batch;
     batch.swap(pending_);
-    pending_rows_ = 0;
     lock.unlock();
     flush(std::move(batch), cause);
     lock.lock();
   }
-  // Drain: everything still queued is scored before the thread exits, so
-  // stop() never abandons an in-flight request.
-  if (!pending_.empty()) {
-    std::vector<Pending> batch;
-    batch.swap(pending_);
-    pending_rows_ = 0;
-    lock.unlock();
-    flush(std::move(batch), "drain");
-    lock.lock();
-  }
 }
 
-void ScoreBatcher::flush(std::vector<Pending> batch, const char* cause) {
+void ScoreBatcher::flush(std::vector<Pending> batch, obs::Counter& cause) {
   // Deadline enforcement happens at the moment of truth — just before the
   // scoring call — so a request that waited out its budget in the queue is
   // answered an honest 503 instead of a late 200 the client gave up on.
@@ -163,13 +137,7 @@ void ScoreBatcher::flush(std::vector<Pending> batch, const char* cause) {
   }
 
   batch_rows_->observe(static_cast<double>(total_rows));
-  if (cause[0] == 'f') {
-    flush_full_->inc();
-  } else if (cause[0] == 't') {
-    flush_timeout_->inc();
-  } else {
-    flush_drain_->inc();
-  }
+  cause.inc();
 
   const auto now = std::chrono::steady_clock::now();
   std::size_t offset = 0;

@@ -3,22 +3,25 @@
 // acquisition, one flat-kernel score_batch — instead of one per request.
 //
 // Reactor workers decode on the event loop and submit() row buffers with a
-// completion; a dedicated flusher thread sleeps until the pending batch
-// reaches batch_max_rows or the OLDEST queued request has waited
-// batch_max_wait_us (the latency bound: a row never waits longer than that
-// for co-travellers), then swaps the whole queue out under the mutex,
-// scores it in one call, slices the results back per request in submission
-// order, and runs every completion. Per-request responses are bit-identical
-// to unbatched scoring because Service::score is deterministic row-wise:
-// batching changes only how many rows share a lock acquisition.
+// completion; a dedicated flusher thread group-commits them: it sleeps only
+// while the queue is empty, and whenever it is free it swaps the whole
+// queue out under the mutex, scores it in one call, slices the results
+// back per request in submission order, and runs every completion.
+// Requests that arrive during a flush become the next batch, so batches
+// are sized by the load itself — one request under light traffic, hundreds
+// of rows under a burst — with no timer and no size knob. Per-request
+// responses are bit-identical to unbatched scoring because Service::score
+// is deterministic row-wise: batching changes only how many rows share a
+// lock acquisition.
 //
 // Invariants the tests pin down:
 //   - mapping: request i's response covers exactly its own rows, in order;
 //   - bit-identity: batched scores equal per-request scores exactly;
-//   - latency: a flush happens by max(wait bound, batch full), whichever
-//     first, and stop() drains everything still queued;
+//   - latency: a request is flushed as soon as the flusher is free — it
+//     waits at most for the one flush already in progress — and stop()
+//     drains everything still queued;
 //   - telemetry: every flush lands in the orf_serve_batch_rows histogram
-//     and a flush-cause counter (full | timeout | drain), every request in
+//     and a flush-cause counter (ready | drain), every request in
 //     orf_serve_requests_total via Api::finish.
 //
 // Lock discipline: the batcher mutex guards only the pending queue (never
@@ -48,7 +51,9 @@ using Completion = std::function<void(Response)>;
 class ScoreBatcher {
  public:
   /// Instruments register on the service's registry (one /metrics scrape
-  /// covers batching next to the engine and HTTP series).
+  /// covers batching next to the engine and HTTP series). The serve
+  /// section holds no batching knobs — batch size follows the queue — and
+  /// is taken so every server is built from the same config.
   ScoreBatcher(Api& api, const orf::ServeSection& options);
   ~ScoreBatcher();
 
@@ -83,24 +88,22 @@ class ScoreBatcher {
   };
 
   void flusher_loop();
-  /// Score one swapped-out batch and complete every request in it.
-  void flush(std::vector<Pending> batch, const char* cause);
+  /// Score one swapped-out batch, complete every request in it, and count
+  /// the flush on `cause`.
+  void flush(std::vector<Pending> batch, obs::Counter& cause);
 
   Api& api_;
-  orf::ServeSection options_;
   Overload* overload_ = nullptr;
 
   std::mutex mu_;
   std::condition_variable cv_;
   std::vector<Pending> pending_;
-  std::size_t pending_rows_ = 0;
   bool stopping_ = true;  ///< start() arms; guarded by mu_
 
   std::thread flusher_;
 
   obs::Histogram* batch_rows_ = nullptr;
-  obs::Counter* flush_full_ = nullptr;
-  obs::Counter* flush_timeout_ = nullptr;
+  obs::Counter* flush_ready_ = nullptr;
   obs::Counter* flush_drain_ = nullptr;
 };
 

@@ -178,6 +178,18 @@ void RequestParser::advance() {
 }
 
 bool RequestParser::parse_head(std::string_view head) {
+  // Lines are CRLF-delimited; a CR, LF or NUL left inside one after the
+  // split is a bare line break or a control byte smuggled into a field,
+  // which RFC 9112 lets the server refuse rather than guess at.
+  for (std::size_t at = head.find_first_of(std::string_view("\r\n\0", 3));
+       at != std::string_view::npos;
+       at = head.find_first_of(std::string_view("\r\n\0", 3), at + 2)) {
+    if (head.compare(at, 2, "\r\n") != 0) {
+      fail(400, "bare CR, LF or NUL in request head");
+      return false;
+    }
+  }
+
   const std::size_t line_end = head.find("\r\n");
   const std::string_view request_line =
       line_end == std::string_view::npos ? head : head.substr(0, line_end);
@@ -235,8 +247,20 @@ bool RequestParser::parse_head(std::string_view head) {
     fail(501, "chunked transfer encoding not supported");
     return false;
   }
+  // Repeated Content-Length headers must agree (RFC 9112 §6.3): a proxy
+  // that framed the body by another copy would desync from us on a
+  // keep-alive connection.
+  const std::string* cl = nullptr;
+  for (const auto& [name, value] : request_.headers) {
+    if (!iequals(name, "Content-Length")) continue;
+    if (cl != nullptr && value != *cl) {
+      fail(400, "conflicting Content-Length headers");
+      return false;
+    }
+    cl = &value;
+  }
   body_needed_ = 0;
-  if (const std::string* cl = request_.header("Content-Length")) {
+  if (cl != nullptr) {
     std::size_t length = 0;
     const auto [end, err] =
         std::from_chars(cl->data(), cl->data() + cl->size(), length);

@@ -8,10 +8,13 @@
 // and parse after take()). Limits are enforced while reading, not after:
 // a Content-Length beyond max_body_bytes is rejected (413) before a single
 // body byte is buffered, and runaway header sections cut off at
-// max_header_bytes (431). Protocol errors latch: the parser reports the
-// HTTP status to answer with (400/411/413/431/501) plus a one-line cause,
-// and the connection must close (framing is unrecoverable after a
-// malformed request).
+// max_header_bytes (431). Framing is strict where leniency would let a
+// proxy and the daemon disagree on where a request ends: repeated
+// Content-Length headers must agree, and a bare CR or LF (or a NUL) in the
+// head is refused, both with 400. Protocol errors latch: the parser
+// reports the HTTP status to answer with (400/411/413/431/501) plus a
+// one-line cause, and the connection must close (framing is unrecoverable
+// after a malformed request).
 //
 // Scope: the subset orfd speaks — methods GET/POST/HEAD/PUT/DELETE,
 // Content-Length framing (chunked transfer encoding is answered 501),

@@ -53,8 +53,7 @@ TEST(OrfConfig, FlagsReachEverySection) {
        "--queue-capacity=14", "--checkpoint-dir=/tmp/x",
        "--checkpoint-every=10", "--checkpoint-keep=5", "--bind=0.0.0.0",
        "--port=9999", "--serve-mode=blocking", "--serve-threads=8",
-       "--serve-workers=3", "--batch-max-rows=128", "--batch-max-wait-us=250",
-       "--idle-timeout-ms=5000", "--max-in-flight=2", "--max-body-bytes=1024",
+       "--serve-workers=3", "--idle-timeout-ms=5000", "--max-in-flight=2", "--max-body-bytes=1024",
        "--retry-after=3"}));
   EXPECT_EQ(config.forest.n_trees, 12);
   EXPECT_DOUBLE_EQ(config.forest.lambda_pos, 0.8);
@@ -74,8 +73,6 @@ TEST(OrfConfig, FlagsReachEverySection) {
   EXPECT_EQ(config.serve.mode, "blocking");
   EXPECT_EQ(config.serve.threads, 8u);
   EXPECT_EQ(config.serve.workers, 3u);
-  EXPECT_EQ(config.serve.batch_max_rows, 128u);
-  EXPECT_EQ(config.serve.batch_max_wait_us, 250);
   EXPECT_EQ(config.serve.idle_timeout_ms, 5000);
   EXPECT_EQ(config.serve.max_in_flight, 2u);
   EXPECT_EQ(config.serve.max_body_bytes, 1024u);
@@ -236,14 +233,6 @@ TEST(OrfConfig, ValidateRejectsInconsistentCombinations) {
   EXPECT_THROW(config.validate(), orf::ConfigError);
   config = {};
 
-  config.serve.batch_max_rows = 0;
-  EXPECT_THROW(config.validate(), orf::ConfigError);
-  config = {};
-
-  config.serve.batch_max_wait_us = -1;
-  EXPECT_THROW(config.validate(), orf::ConfigError);
-  config = {};
-
   config.serve.idle_timeout_ms = 0;
   EXPECT_THROW(config.validate(), orf::ConfigError);
 }
@@ -276,12 +265,25 @@ TEST(OrfConfig, FlagSpecsCoverTheSharedKnobsInUsageText) {
   for (const char* flag :
        {"--backend", "--mondrian-lifetime", "--trees", "--port",
         "--checkpoint-dir", "--row-errors", "--resume", "--max-in-flight",
-        "--serve-mode", "--serve-workers", "--batch-max-rows",
-        "--batch-max-wait-us", "--idle-timeout-ms", "--wal", "--wal-sync",
+        "--serve-mode", "--serve-workers", "--idle-timeout-ms", "--wal",
+        "--wal-sync",
         "--request-deadline-ms", "--shed-high-water", "--oobe-threshold",
         "--tsdb-retain-days", "--help"}) {
     EXPECT_NE(usage.find(flag), std::string::npos) << flag << "\n" << usage;
   }
+}
+
+TEST(OrfConfig, RemovedBatchKnobsAreUnknownFlags) {
+  // The score batcher sizes its batches from the queue; the old deadline
+  // and row-cap knobs are gone, and orfd rejects them like any typo.
+  for (const char* flag :
+       {"--batch-max-wait-us=200", "--batch-max-rows=128"}) {
+    EXPECT_THROW(make_flags({flag}).enforce("orfd", orf::Config::flag_specs()),
+                 util::FlagError)
+        << flag;
+  }
+  const std::string usage = util::usage_text("orfd", orf::Config::flag_specs());
+  EXPECT_EQ(usage.find("--batch-max"), std::string::npos) << usage;
 }
 
 TEST(OrfConfig, HistoryConsumerKnobsParseAndValidate) {

@@ -1,14 +1,21 @@
 // ScoreBatcher unit tests — the invariants DESIGN.md §13 promises:
 // batched responses bit-identical to per-request scoring, each response
 // covering exactly its own rows in submission order under interleaving,
-// flush-on-full firing before the latency bound and flush-on-timeout at it,
-// and stop() draining every queued request. Runs against a real
-// orf::Service (scoring is deterministic and non-mutating, so the same
-// service produces the unbatched reference responses).
+// a lone request flushed at once with no timer, everything queued during a
+// flush coalescing into exactly the next one, and stop() draining every
+// queued request. Runs against a real orf::Service (scoring is
+// deterministic and non-mutating, so the same service produces the
+// unbatched reference responses).
+//
+// Batch boundaries are made deterministic with a FlushGate, not with
+// sleeps: its request's completion parks the flusher inside a flush, so
+// whatever the test submits next is queued behind it.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <future>
+#include <latch>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -66,6 +73,74 @@ obs::HistogramSnapshot batch_rows(obs::Registry& registry) {
   return {};
 }
 
+/// Parks the flusher inside a flush: submits a one-row request whose
+/// completion blocks until release(), and returns once the flusher has
+/// swapped that request out and is running its completion. The completion
+/// shares ownership of its signals, so they outlive the gate on the flusher
+/// side.
+class FlushGate {
+ public:
+  static constexpr std::size_t kRows = 1;
+
+  FlushGate(serve::Api& api, serve::ScoreBatcher& batcher)
+      : entered_(std::make_shared<std::promise<void>>()),
+        release_(std::make_shared<std::latch>(1)) {
+    std::vector<float> xs;
+    serve::Response error;
+    EXPECT_TRUE(api.decode_score_rows(score_request(99, kRows), xs, error));
+    std::future<void> entered = entered_->get_future();
+    batcher.submit(std::move(xs), kRows,
+                   [entered = entered_, release = release_](
+                       serve::Response response) {
+                     EXPECT_EQ(response.status, 200);
+                     entered->set_value();
+                     release->wait();
+                   });
+    EXPECT_EQ(entered.wait_for(std::chrono::seconds(10)),
+              std::future_status::ready)
+        << "the flusher never picked up the gate request";
+  }
+  ~FlushGate() { release(); }
+
+  FlushGate(const FlushGate&) = delete;
+  FlushGate& operator=(const FlushGate&) = delete;
+
+  /// Let the parked flush finish; idempotent.
+  void release() {
+    if (released_) return;
+    released_ = true;
+    release_->count_down();
+  }
+
+ private:
+  std::shared_ptr<std::promise<void>> entered_;
+  std::shared_ptr<std::latch> release_;
+  bool released_ = false;
+};
+
+/// Decode `request` and submit it; its response lands in `done`.
+void submit(serve::Api& api, serve::ScoreBatcher& batcher,
+            const serve::Request& request,
+            std::promise<serve::Response>& done) {
+  std::vector<float> xs;
+  serve::Response error;
+  ASSERT_TRUE(api.decode_score_rows(request, xs, error));
+  const std::size_t rows = xs.size() / kFeatures;
+  batcher.submit(std::move(xs), rows, [&done](serve::Response response) {
+    done.set_value(std::move(response));
+  });
+}
+
+/// Wait (bounded, so a lost completion fails instead of hanging) for `done`.
+serve::Response await(std::promise<serve::Response>& done) {
+  auto future = done.get_future();
+  if (future.wait_for(std::chrono::seconds(10)) != std::future_status::ready) {
+    ADD_FAILURE() << "request never completed";
+    return {};
+  }
+  return future.get();
+}
+
 class BatcherTest : public ::testing::Test {
  protected:
   BatcherTest()
@@ -93,37 +168,28 @@ TEST_F(BatcherTest, BatchedScoresBitIdenticalToPerRequest) {
     total_rows += i + 1;
   }
 
-  // Everything queues, then one flush covers the lot (full fires exactly at
-  // the accumulated row count).
-  config_.serve.batch_max_rows = total_rows;
-  config_.serve.batch_max_wait_us = 5'000'000;
   serve::ScoreBatcher batcher(api_, config_.serve);
   batcher.start();
 
+  // Everything queues behind the gate's flush, then one flush covers the
+  // lot.
   std::vector<std::promise<serve::Response>> done(kRequests);
+  FlushGate gate(api_, batcher);
   for (std::size_t i = 0; i < kRequests; ++i) {
-    std::vector<float> xs;
-    serve::Response error;
-    ASSERT_TRUE(api_.decode_score_rows(requests[i], xs, error));
-    batcher.submit(std::move(xs), i + 1,
-                   [&done, i](serve::Response response) {
-                     done[i].set_value(std::move(response));
-                   });
+    submit(api_, batcher, requests[i], done[i]);
   }
+  gate.release();
   for (std::size_t i = 0; i < kRequests; ++i) {
-    auto future = done[i].get_future();
-    ASSERT_EQ(future.wait_for(std::chrono::seconds(10)),
-              std::future_status::ready)
-        << "request " << i << " never completed";
-    const serve::Response response = future.get();
+    const serve::Response response = await(done[i]);
     EXPECT_EQ(response.status, 200);
     EXPECT_EQ(response.body, expected[i]) << "request " << i;
   }
 
   const obs::HistogramSnapshot histogram =
       batch_rows(service_.metrics_registry());
-  EXPECT_EQ(histogram.count, 1u);
-  EXPECT_DOUBLE_EQ(histogram.sum, static_cast<double>(total_rows));
+  EXPECT_EQ(histogram.count, 2u);  // the gate's flush, then all five
+  EXPECT_DOUBLE_EQ(histogram.sum,
+                   static_cast<double>(FlushGate::kRows + total_rows));
 }
 
 TEST_F(BatcherTest, MappingHoldsUnderConcurrentInterleavedSubmission) {
@@ -135,8 +201,8 @@ TEST_F(BatcherTest, MappingHoldsUnderConcurrentInterleavedSubmission) {
     expected.push_back(reference_body(requests.back()));
   }
 
-  config_.serve.batch_max_rows = 4;  // several flushes, interleaved batches
-  config_.serve.batch_max_wait_us = 1000;
+  // Free-running flusher: batch boundaries fall wherever the submitters'
+  // timing puts them, and every split must map rows back correctly.
   serve::ScoreBatcher batcher(api_, config_.serve);
   batcher.start();
 
@@ -144,105 +210,97 @@ TEST_F(BatcherTest, MappingHoldsUnderConcurrentInterleavedSubmission) {
   std::vector<std::thread> submitters;
   for (std::size_t i = 0; i < kThreads; ++i) {
     submitters.emplace_back([this, &batcher, &requests, &done, i] {
-      std::vector<float> xs;
-      serve::Response error;
-      ASSERT_TRUE(api_.decode_score_rows(requests[i], xs, error));
-      const std::size_t rows = xs.size() / kFeatures;
-      batcher.submit(std::move(xs), rows,
-                     [&done, i](serve::Response response) {
-                       done[i].set_value(std::move(response));
-                     });
+      submit(api_, batcher, requests[i], done[i]);
     });
   }
   for (std::thread& thread : submitters) thread.join();
   for (std::size_t i = 0; i < kThreads; ++i) {
-    auto future = done[i].get_future();
-    ASSERT_EQ(future.wait_for(std::chrono::seconds(10)),
-              std::future_status::ready);
-    EXPECT_EQ(future.get().body, expected[i])
+    EXPECT_EQ(await(done[i]).body, expected[i])
         << "request " << i << " got another request's rows";
   }
 }
 
-TEST_F(BatcherTest, FullBatchFlushesWithoutWaitingForTheLatencyBound) {
-  config_.serve.batch_max_rows = 4;
-  config_.serve.batch_max_wait_us = 30'000'000;  // would time out the test
+TEST_F(BatcherTest, LoneRequestFlushesWithoutATimer) {
   serve::ScoreBatcher batcher(api_, config_.serve);
   batcher.start();
 
-  std::vector<std::promise<serve::Response>> done(4);
-  for (std::size_t i = 0; i < 4; ++i) {
-    std::vector<float> xs;
-    serve::Response error;
-    ASSERT_TRUE(
-        api_.decode_score_rows(score_request(static_cast<int>(i), 1), xs,
-                               error));
-    batcher.submit(std::move(xs), 1, [&done, i](serve::Response response) {
-      done[i].set_value(std::move(response));
-    });
-  }
-  for (std::size_t i = 0; i < 4; ++i) {
-    ASSERT_EQ(done[i].get_future().wait_for(std::chrono::seconds(10)),
-              std::future_status::ready)
-        << "full batch did not flush ahead of the 30s latency bound";
-  }
+  std::promise<serve::Response> done;
+  submit(api_, batcher, score_request(7, 2), done);
+  EXPECT_EQ(await(done).status, 200);
+
   obs::Registry& registry = service_.metrics_registry();
-  EXPECT_GE(flush_count(registry, "full"), 1u);
-  EXPECT_EQ(flush_count(registry, "timeout"), 0u);
+  EXPECT_EQ(flush_count(registry, "ready"), 1u);
+  EXPECT_EQ(flush_count(registry, "drain"), 0u);
+  const obs::HistogramSnapshot histogram = batch_rows(registry);
+  EXPECT_EQ(histogram.count, 1u);
+  EXPECT_DOUBLE_EQ(histogram.sum, 2.0);
 }
 
-TEST_F(BatcherTest, LoneRequestFlushesAtTheLatencyBound) {
-  config_.serve.batch_max_rows = 1000;  // never fills
-  config_.serve.batch_max_wait_us = 10'000;
+TEST_F(BatcherTest, RequestsQueuedDuringAFlushCoalesceIntoTheNext) {
   serve::ScoreBatcher batcher(api_, config_.serve);
   batcher.start();
 
-  std::vector<float> xs;
-  serve::Response error;
-  ASSERT_TRUE(api_.decode_score_rows(score_request(7, 2), xs, error));
-  std::promise<serve::Response> done;
-  batcher.submit(std::move(xs), 2, [&done](serve::Response response) {
-    done.set_value(std::move(response));
-  });
-  auto future = done.get_future();
-  ASSERT_EQ(future.wait_for(std::chrono::seconds(10)),
-            std::future_status::ready);
-  EXPECT_EQ(future.get().status, 200);
+  const std::size_t kRequests = 4;
+  std::vector<std::promise<serve::Response>> done(kRequests);
+  std::size_t total_rows = FlushGate::kRows;
+  {
+    FlushGate gate(api_, batcher);
+    for (std::size_t i = 0; i < kRequests; ++i) {
+      submit(api_, batcher, score_request(10 + static_cast<int>(i), i + 1),
+             done[i]);
+      total_rows += i + 1;
+    }
+    EXPECT_GT(batcher.oldest_wait_seconds(), 0.0) << "nothing queued";
+  }
+  for (std::size_t i = 0; i < kRequests; ++i) {
+    EXPECT_EQ(await(done[i]).status, 200) << "request " << i;
+  }
+
   obs::Registry& registry = service_.metrics_registry();
-  EXPECT_GE(flush_count(registry, "timeout"), 1u);
-  EXPECT_EQ(flush_count(registry, "full"), 0u);
+  const obs::HistogramSnapshot histogram = batch_rows(registry);
+  EXPECT_EQ(histogram.count, 2u) << "queued requests split across flushes";
+  EXPECT_DOUBLE_EQ(histogram.sum, static_cast<double>(total_rows));
+  EXPECT_EQ(flush_count(registry, "ready"), 2u);
+  EXPECT_EQ(batcher.oldest_wait_seconds(), 0.0);
 }
 
 TEST_F(BatcherTest, StopDrainsEverythingStillQueued) {
-  config_.serve.batch_max_rows = 1000;
-  config_.serve.batch_max_wait_us = 30'000'000;  // only stop() can flush
   serve::ScoreBatcher batcher(api_, config_.serve);
   batcher.start();
 
   std::vector<std::promise<serve::Response>> done(2);
+  FlushGate gate(api_, batcher);
   for (std::size_t i = 0; i < 2; ++i) {
-    std::vector<float> xs;
-    serve::Response error;
-    ASSERT_TRUE(api_.decode_score_rows(score_request(20 + static_cast<int>(i),
-                                                     1),
-                                       xs, error));
-    batcher.submit(std::move(xs), 1, [&done, i](serve::Response response) {
-      done[i].set_value(std::move(response));
-    });
+    submit(api_, batcher, score_request(20 + static_cast<int>(i), 1),
+           done[i]);
   }
-  batcher.stop();
+  // stop() joins the parked flusher, so run it aside; it marks the batcher
+  // degraded only after it has latched the stop, which is when releasing
+  // the gate turns the next flush into the drain.
+  std::thread stopper([&batcher] { batcher.stop(); });
+  const auto stopped = [this] {
+    for (const auto& component : service_.health().components()) {
+      if (component.name == "batcher") {
+        return component.state == robust::HealthState::kDegraded;
+      }
+    }
+    return false;
+  };
+  while (!stopped()) std::this_thread::yield();
+  gate.release();
+  stopper.join();
+
   for (std::size_t i = 0; i < 2; ++i) {
-    auto future = done[i].get_future();
-    ASSERT_EQ(future.wait_for(std::chrono::seconds(1)),
-              std::future_status::ready)
-        << "stop() abandoned a queued request";
-    EXPECT_EQ(future.get().status, 200);
+    EXPECT_EQ(await(done[i]).status, 200) << "stop() abandoned request " << i;
   }
-  EXPECT_GE(flush_count(service_.metrics_registry(), "drain"), 1u);
+  obs::Registry& registry = service_.metrics_registry();
+  EXPECT_EQ(flush_count(registry, "ready"), 1u);  // the gate's flush
+  EXPECT_EQ(flush_count(registry, "drain"), 1u);
+  EXPECT_DOUBLE_EQ(batch_rows(registry).sum,
+                   static_cast<double>(FlushGate::kRows + 2));
 }
 
 TEST_F(BatcherTest, SubmitAfterStopScoresInline) {
-  config_.serve.batch_max_wait_us = 30'000'000;
   serve::ScoreBatcher batcher(api_, config_.serve);  // never started
 
   const serve::Request request = score_request(33, 3);
@@ -257,6 +315,7 @@ TEST_F(BatcherTest, SubmitAfterStopScoresInline) {
     EXPECT_EQ(response.body, expected);
   });
   EXPECT_TRUE(completed) << "inline fallback must complete synchronously";
+  EXPECT_EQ(flush_count(service_.metrics_registry(), "drain"), 1u);
 }
 
 }  // namespace

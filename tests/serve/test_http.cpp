@@ -11,6 +11,7 @@
 
 #include <cerrno>
 #include <string>
+#include <string_view>
 
 #include "robust/failpoint.hpp"
 
@@ -110,7 +111,7 @@ TEST(HttpParser, OversizedHeaderSectionIs431) {
 
 TEST(HttpParser, ProtocolErrorsMapToStatuses) {
   const struct {
-    const char* wire;
+    std::string_view wire;
     int status;
   } cases[] = {
       {"GARBAGE\r\n\r\n", 400},
@@ -121,13 +122,54 @@ TEST(HttpParser, ProtocolErrorsMapToStatuses) {
       {"POST /x HTTP/1.1\r\nContent-Length: ten\r\n\r\n", 400},
       {"POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n", 501},
       {"GET / HTTP/1.1\r\nNoColonHere\r\n\r\n", 400},
+      // Content-Length values a lenient peer might read differently.
+      {"POST /x HTTP/1.1\r\nContent-Length: 99999999999999999999\r\n\r\n",
+       400},
+      {"POST /x HTTP/1.1\r\nContent-Length: -1\r\n\r\n", 400},
+      {"POST /x HTTP/1.1\r\nContent-Length: +1\r\n\r\nx", 400},
+      {"POST /x HTTP/1.1\r\nContent-Length: 1, 1\r\n\r\nx", 400},
+      {"POST /x HTTP/1.1\r\nContent-Length: 1\r\nContent-Length: 01\r\n"
+       "\r\nx",
+       400},
+      {"POST /x HTTP/1.1\r\nContent-Length: 1\r\n"
+       "Transfer-Encoding: chunked\r\n\r\n",
+       501},
+      // Bare line breaks and NULs in the head.
+      {"POST /x HTTP/1.1\nContent-Length: 1\r\n\r\nx", 400},
+      {"GET / HTTP/1.1\r\nHost: a\nX-Smuggled: b\r\n\r\n", 400},
+      {"GET /a\rb HTTP/1.1\r\n\r\n", 400},
+      {"GET / HTTP/1.1\r\r\n\r\n", 400},
+      {std::string_view("GET /x\0y HTTP/1.1\r\n\r\n", 22), 400},
   };
   for (const auto& c : cases) {
+    const std::string wire(c.wire);
     RequestParser parser;
-    ASSERT_EQ(parser.feed(c.wire), State::kError) << c.wire;
-    EXPECT_EQ(parser.error_status(), c.status) << c.wire;
+    ASSERT_EQ(parser.feed(c.wire), State::kError) << wire;
+    EXPECT_EQ(parser.error_status(), c.status) << wire;
     EXPECT_FALSE(parser.error_detail().empty());
   }
+}
+
+TEST(HttpParser, ConflictingContentLengthsAre400) {
+  // Two framings for one request: a peer honouring the other copy would
+  // lose sync with us on the keep-alive connection.
+  RequestParser parser;
+  ASSERT_EQ(parser.feed("POST /v1/score HTTP/1.1\r\nContent-Length: 2\r\n"
+                        "Content-Length: 40\r\n\r\n{}"),
+            State::kError);
+  EXPECT_EQ(parser.error_status(), 400);
+  EXPECT_NE(parser.error_detail().find("Content-Length"), std::string::npos);
+}
+
+TEST(HttpParser, RepeatedEqualContentLengthsFrameOnce) {
+  RequestParser parser;
+  ASSERT_EQ(parser.feed("POST /v1/score HTTP/1.1\r\ncontent-length: 2\r\n"
+                        "Content-Length: 2\r\n\r\n{}"
+                        "GET /healthz HTTP/1.1\r\n\r\n"),
+            State::kComplete);
+  EXPECT_EQ(parser.take().body, "{}");
+  ASSERT_EQ(parser.state(), State::kComplete);
+  EXPECT_EQ(parser.take().target, "/healthz");
 }
 
 TEST(HttpParser, ErrorLatches) {

@@ -41,8 +41,6 @@ orf::Config reactor_config() {
   config.engine.shards = 2;
   config.serve.port = 0;  // ephemeral
   config.serve.workers = 2;
-  config.serve.batch_max_rows = 64;
-  config.serve.batch_max_wait_us = 500;
   return config;
 }
 

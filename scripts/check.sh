@@ -7,7 +7,10 @@
 #      test_engine, test_core, test_util — so data races on freed memory,
 #      container misuse and UB in the shard/learn stages surface loudly,
 #      plus test_robust for the checkpoint-envelope fuzz suite
-#      (EnvelopeFuzz.*), test_tsdb for the history-store codec fuzz
+#      (EnvelopeFuzz.*) and the slicing-by-8 CRC32 against its bytewise
+#      oracle (Crc32.*), test_orf for the WAL batch codec fuzz suite
+#      (WalCodec.*) and the pool-parallel save oracle (DurabilityOracle.*),
+#      test_tsdb for the history-store codec fuzz
 #      suite (truncation/byte-flip/compound corruption against the Gorilla
 #      decoder) and test_serve's JSON codec suites (ServeJson.*, the
 #      /v1/ingest and /v1/score body fuzz/differential Codec*.*) — all
@@ -23,8 +26,10 @@
 #      single-owner connection model, the batcher's cross-thread
 #      completions), test_engine (sharded ingest), test_obs (lock-free
 #      instruments), test_robust (concurrent checkpoint save/load, WAL
-#      appends racing replay bookkeeping) and test_tsdb (the history
-#      store's single-writer contract under the service's pooled ingest) —
+#      appends racing replay bookkeeping), test_tsdb (the history store's
+#      single-writer contract under the service's pooled ingest and its
+#      pooled flush), test_core (forest saves formatting trees on a pool)
+#      and test_orf (pooled checkpoint payloads and WAL batch encoding) —
 #      with
 #      TSAN_OPTIONS=halt_on_error=1 so the first race fails the run.
 #   5. (--chaos) the chaos soak: scripts/chaos_smoke.sh against an ASan
@@ -73,17 +78,20 @@ for arg in "$@"; do
 done
 
 if $tsan_only; then
-  echo "== tsan: ThreadSanitizer over serve + engine + obs + robust + tsdb =="
+  echo "== tsan: ThreadSanitizer over serve + engine + obs + robust + tsdb + core + orf =="
   cmake -B build-tsan -S . -DORF_TSAN=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     >/dev/null
   cmake --build build-tsan -j "$(nproc)" \
-    --target test_serve test_engine test_obs test_robust test_tsdb
+    --target test_serve test_engine test_obs test_robust test_tsdb test_core \
+    test_orf
   export TSAN_OPTIONS=halt_on_error=1:second_deadlock_stack=1
   ./build-tsan/tests/test_obs
   ./build-tsan/tests/test_engine
   ./build-tsan/tests/test_serve
   ./build-tsan/tests/test_robust
   ./build-tsan/tests/test_tsdb
+  ./build-tsan/tests/test_core
+  ./build-tsan/tests/test_orf
   echo "CHECK OK"
   exit 0
 fi
@@ -130,11 +138,12 @@ if ! $faults_only; then
   # truncations and random garbage against the checkpoint parsers and the
   # history store's Gorilla-codec decoder (a bit-level reader where an
   # overrun is exactly the kind of bug ASan turns from silent to loud).
-  ./build-asan/tests/test_robust --gtest_filter='EnvelopeFuzz.*'
+  ./build-asan/tests/test_robust --gtest_filter='EnvelopeFuzz.*:Crc32.*'
   ./build-asan/tests/test_tsdb
   # The history consumers: replay windows, label-correction differentials,
   # retention GC — heavy on spans into reused buffers and on file mmaps,
-  # exactly what ASan is for.
+  # exactly what ASan is for. Also the WAL batch codec fuzz suite and the
+  # pooled save oracle (reserve-ahead buffers written by pool workers).
   ./build-asan/tests/test_orf
   # The request-body codec: a pull reader that decoders drive straight into
   # row buffers, fuzzed with truncations, substitutions and compound

@@ -9,23 +9,19 @@
 #include "core/online_forest.hpp"
 #include "core/online_tree.hpp"
 #include "robust/checkpoint_io.hpp"
+#include "util/ordered_append.hpp"
 
 namespace core {
-namespace checkpoint {
 
-void put_double(std::ostream& os, double value) {
-  os << std::hex << std::bit_cast<std::uint64_t>(value) << std::dec;
-}
+namespace cp = checkpoint;
+
+namespace checkpoint {
 
 double get_double(std::istream& is) {
   std::uint64_t bits = 0;
   is >> std::hex >> bits >> std::dec;
   if (!is) throw std::runtime_error("checkpoint: bad double field");
   return std::bit_cast<double>(bits);
-}
-
-void put_float(std::ostream& os, float value) {
-  os << std::hex << std::bit_cast<std::uint32_t>(value) << std::dec;
 }
 
 float get_float(std::istream& is) {
@@ -51,13 +47,6 @@ void expect_tag(std::istream& is, const char* tag) {
   }
 }
 
-void put_rng(std::ostream& os, const util::Rng& rng) {
-  const auto state = rng.state();
-  os << std::hex;
-  for (auto word : state) os << ' ' << word;
-  os << std::dec;
-}
-
 util::Rng get_rng(std::istream& is) {
   std::array<std::uint64_t, 4> state{};
   is >> std::hex;
@@ -74,53 +63,60 @@ util::Rng get_rng(std::istream& is) {
 
 // ---- OnlineTree ------------------------------------------------------------
 
-void OnlineTree::save(std::ostream& os) const {
-  namespace cp = checkpoint;
-  os << "orf-tree-state v1\n";
-  os << feature_count_ << ' ' << params_.n_tests << ' '
-     << params_.min_parent_size << ' ' << params_.max_depth << ' '
-     << params_.threshold_pool << '\n';
-  os << samples_seen_ << ' ' << nodes_.size() << '\n';
-  os << "rng";
-  cp::put_rng(os, rng_);
-  os << '\n';
+std::size_t OnlineTree::save_bound() const {
+  constexpr std::size_t kInt = cp::kMaxIntChars + 1;  // value + separator
+  constexpr std::size_t kFloat = cp::kMaxFloatChars + 1;
+  const std::size_t row = kInt + feature_count_ * kFloat;
+  std::size_t bytes = 64 + 7 * kInt + cp::kRngChars +
+                      feature_count_ * (cp::kMaxDoubleChars + 1);
   for (const auto& node : nodes_) {
-    os << node.left << ' ' << node.right << ' ' << node.depth << ' '
-       << node.split_feature << ' ';
-    cp::put_float(os, node.split_threshold);
-    os << ' ';
-    cp::put_float(os, node.prob);
-    os << ' ' << (node.stats ? 1 : 0) << '\n';
+    bytes += 5 * kInt + 2 * kFloat;
+    if (!node.stats) continue;
+    bytes += 5 * kInt + node.stats->tests.size() * (3 * kInt + kFloat) +
+             node.stats->buffer.size() * row;
+  }
+  return bytes;
+}
+
+void OnlineTree::save(std::string& out) const {
+  cp::Writer w(out);
+  w << "orf-tree-state v1\n";
+  w << feature_count_ << ' ' << params_.n_tests << ' '
+    << params_.min_parent_size << ' ' << params_.max_depth << ' '
+    << params_.threshold_pool << '\n';
+  w << samples_seen_ << ' ' << nodes_.size() << '\n';
+  w << "rng" << rng_ << '\n';
+  for (const auto& node : nodes_) {
+    w << node.left << ' ' << node.right << ' ' << node.depth << ' '
+      << node.split_feature << ' ' << cp::hex(node.split_threshold) << ' '
+      << cp::hex(node.prob) << ' ' << (node.stats ? 1 : 0) << '\n';
     if (!node.stats) continue;
     const LeafStats& stats = *node.stats;
-    os << stats.n[0] << ' ' << stats.n[1] << ' '
-       << (stats.tests_ready ? 1 : 0) << ' ' << stats.tests.size() << ' '
-       << stats.buffer.size() << '\n';
+    w << stats.n[0] << ' ' << stats.n[1] << ' ' << (stats.tests_ready ? 1 : 0)
+      << ' ' << stats.tests.size() << ' ' << stats.buffer.size() << '\n';
     for (std::size_t t = 0; t < stats.tests.size(); ++t) {
-      os << stats.tests[t].feature << ' ';
-      cp::put_float(os, stats.tests[t].threshold);
-      os << ' ' << stats.right_counts[t][0] << ' ' << stats.right_counts[t][1]
-         << '\n';
+      w << stats.tests[t].feature << ' ' << cp::hex(stats.tests[t].threshold)
+        << ' ' << stats.right_counts[t][0] << ' ' << stats.right_counts[t][1]
+        << '\n';
     }
     for (const auto& [x, y] : stats.buffer) {
-      os << y;
-      for (float v : x) {
-        os << ' ';
-        cp::put_float(os, v);
-      }
-      os << '\n';
+      w << y;
+      for (float v : x) w << ' ' << cp::hex(v);
+      w << '\n';
     }
   }
-  os << "gain";
-  for (double g : split_gain_) {
-    os << ' ';
-    cp::put_double(os, g);
-  }
-  os << '\n';
+  w << "gain";
+  for (double g : split_gain_) w << ' ' << cp::hex(g);
+  w << '\n';
+}
+
+void OnlineTree::save(std::ostream& os) const {
+  std::string out;
+  save(out);
+  os << out;
 }
 
 void OnlineTree::restore(std::istream& is) {
-  namespace cp = checkpoint;
   std::string line;
   if (!std::getline(is, line) || line != "orf-tree-state v1") {
     // Tolerate a leading newline left by a preceding token read.
@@ -205,39 +201,43 @@ void OnlineTree::restore(std::istream& is) {
 
 // ---- OnlineForest ----------------------------------------------------------
 
-void OnlineForest::save(std::ostream& os) const {
-  namespace cp = checkpoint;
-  os << "orf-forest-state v1\n";
-  os << feature_count_ << ' ' << trees_.size() << ' ' << samples_seen_ << ' '
-     << trees_replaced_ << ' ' << drift_alarms_ << '\n';
-  for (std::size_t t = 0; t < trees_.size(); ++t) {
-    os << "tree " << t;
-    cp::put_rng(os, tree_rngs_[t]);
-    os << ' ' << age_[t] << ' ';
-    cp::put_double(os, oob_[t].err[0]);
-    os << ' ';
-    cp::put_double(os, oob_[t].err[1]);
-    os << ' ' << oob_[t].evals[0] << ' ' << oob_[t].evals[1] << '\n';
-    trees_[t].save(os);
-  }
+void OnlineForest::save(std::string& out, util::ThreadPool* pool) const {
+  cp::Writer w(out);
+  w << "orf-forest-state v1\n";
+  w << feature_count_ << ' ' << trees_.size() << ' ' << samples_seen_ << ' '
+    << trees_replaced_.load(std::memory_order_relaxed) << ' ' << drift_alarms_
+    << '\n';
+  // Trees are the bulk of every checkpoint and independent of each other:
+  // format them on the pool, appended in tree order.
+  util::append_ordered(
+      out, trees_.size(), pool,
+      [&](std::size_t t) {
+        return 6 * (cp::kMaxIntChars + 1) + cp::kRngChars +
+               2 * (cp::kMaxDoubleChars + 1) + trees_[t].save_bound();
+      },
+      [&](std::string& text, std::size_t t) {
+        cp::Writer tw(text);
+        tw << "tree " << t << tree_rngs_[t] << ' ' << age_[t] << ' '
+           << cp::hex(oob_[t].err[0]) << ' ' << cp::hex(oob_[t].err[1]) << ' '
+           << oob_[t].evals[0] << ' ' << oob_[t].evals[1] << '\n';
+        trees_[t].save(text);
+      });
   for (int c = 0; c < 2; ++c) {
     const auto state = drift_monitor_[c].state();
-    os << "drift " << state.count << ' ';
-    cp::put_double(os, state.mean);
-    os << ' ';
-    cp::put_double(os, state.cumulative);
-    os << ' ';
-    cp::put_double(os, state.min_cumulative);
-    os << '\n';
+    w << "drift " << state.count << ' ' << cp::hex(state.mean) << ' '
+      << cp::hex(state.cumulative) << ' ' << cp::hex(state.min_cumulative)
+      << '\n';
   }
-  // Forest state is the bulk of every checkpoint; surface a failed or
-  // full-disk stream here instead of letting a truncated dump masquerade
-  // as a successful save.
+}
+
+void OnlineForest::save(std::ostream& os) const {
+  std::string out;
+  save(out);
+  os << out;
   robust::commit_stream(os, "forest checkpoint");
 }
 
 void OnlineForest::restore(std::istream& is) {
-  namespace cp = checkpoint;
   std::string line;
   if (!std::getline(is, line) || line != "orf-forest-state v1") {
     throw std::runtime_error("checkpoint: not an orf-forest-state v1");

@@ -35,7 +35,10 @@ class LabelQueue {
   /// oldest-first (to be labeled positive) and empties the queue.
   std::vector<std::vector<float>> drain();
 
-  /// Non-destructive oldest-first view, for checkpointing.
+  /// Oldest-first view of the queued samples, for checkpointing.
+  const std::deque<std::vector<float>>& samples() const { return queue_; }
+
+  /// Non-destructive oldest-first copy.
   std::vector<std::vector<float>> snapshot() const {
     return {queue_.begin(), queue_.end()};
   }

@@ -10,6 +10,7 @@
 
 #include "core/checkpoint.hpp"
 #include "robust/checkpoint_io.hpp"
+#include "util/ordered_append.hpp"
 
 namespace core {
 
@@ -168,25 +169,27 @@ std::size_t MondrianTree::depth() const {
   return deepest;
 }
 
-void MondrianTree::save(std::ostream& os) const {
+std::size_t MondrianTree::save_bound() const {
+  constexpr std::size_t kInt = checkpoint::kMaxIntChars + 1;
+  return 64 + 3 * kInt +
+         nodes_.size() *
+             (5 * kInt + checkpoint::kMaxFloatChars +
+              checkpoint::kMaxDoubleChars + 2 +
+              2 * feature_count_ * (checkpoint::kMaxFloatChars + 1));
+}
+
+void MondrianTree::save(std::string& out) const {
   namespace cp = checkpoint;
-  os << "mondrian-tree-state v1\n";
-  os << feature_count_ << ' ' << nodes_.size() << ' ' << root_ << '\n';
+  cp::Writer w(out);
+  w << "mondrian-tree-state v1\n";
+  w << feature_count_ << ' ' << nodes_.size() << ' ' << root_ << '\n';
   for (const auto& node : nodes_) {
-    os << node.left << ' ' << node.right << ' ' << node.feature << ' ';
-    cp::put_float(os, node.threshold);
-    os << ' ';
-    cp::put_double(os, node.time);
-    os << ' ' << node.counts[0] << ' ' << node.counts[1];
-    for (float v : node.lower) {
-      os << ' ';
-      cp::put_float(os, v);
-    }
-    for (float v : node.upper) {
-      os << ' ';
-      cp::put_float(os, v);
-    }
-    os << '\n';
+    w << node.left << ' ' << node.right << ' ' << node.feature << ' '
+      << cp::hex(node.threshold) << ' ' << cp::hex(node.time) << ' '
+      << node.counts[0] << ' ' << node.counts[1];
+    for (float v : node.lower) w << ' ' << cp::hex(v);
+    for (float v : node.upper) w << ' ' << cp::hex(v);
+    w << '\n';
   }
 }
 
@@ -335,17 +338,26 @@ void MondrianForest::publish_metrics() const {
   metrics_.samples_seen->set(samples_seen_);
 }
 
-void MondrianForest::save(std::ostream& os) const {
+void MondrianForest::save(std::string& out, util::ThreadPool* pool) const {
   namespace cp = checkpoint;
-  os << "mondrian-forest-state v1\n";
-  os << feature_count_ << ' ' << trees_.size() << ' ' << samples_seen_
-     << '\n';
-  for (std::size_t t = 0; t < trees_.size(); ++t) {
-    os << "tree " << t;
-    cp::put_rng(os, tree_rngs_[t]);
-    os << '\n';
-    trees_[t].save(os);
-  }
+  cp::Writer(out) << "mondrian-forest-state v1\n"
+                  << feature_count_ << ' ' << trees_.size() << ' '
+                  << samples_seen_ << '\n';
+  util::append_ordered(
+      out, trees_.size(), pool,
+      [&](std::size_t t) {
+        return 8 + cp::kMaxIntChars + cp::kRngChars + trees_[t].save_bound();
+      },
+      [&](std::string& text, std::size_t t) {
+        cp::Writer(text) << "tree " << t << tree_rngs_[t] << '\n';
+        trees_[t].save(text);
+      });
+}
+
+void MondrianForest::save(std::ostream& os) const {
+  std::string out;
+  save(out);
+  os << out;
   robust::commit_stream(os, "mondrian forest checkpoint");
 }
 

@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/online_forest.hpp"
@@ -74,11 +75,15 @@ class MondrianTree {
   std::size_t leaf_count() const;
   std::size_t depth() const;
 
-  void save(std::ostream& os) const;
+  /// Append the tree's complete state; save_bound() is an upper bound on
+  /// the bytes it appends (a reserve-ahead size).
+  void save(std::string& out) const;
+  std::size_t save_bound() const;
   void restore(std::istream& is);
 
  private:
   friend class MondrianForest;
+  friend struct checkpoint::StreamOracle;
 
   struct Node {
     std::int32_t left = -1;    ///< -1 ⇒ leaf
@@ -140,13 +145,17 @@ class MondrianForest {
 
   /// Complete-state checkpoint ("mondrian-forest v1"): every node's box,
   /// split and counts plus the exact RNG streams. restore() requires
-  /// identical construction parameters.
+  /// identical construction parameters. save() appends to `out`,
+  /// formatting trees on `pool` when given (same bytes for any pool); the
+  /// ostream form wraps it.
+  void save(std::string& out, util::ThreadPool* pool = nullptr) const;
   void save(std::ostream& os) const;
   void restore(std::istream& is);
 
   const MondrianForestParams& params() const { return params_; }
 
  private:
+  friend struct checkpoint::StreamOracle;
   std::size_t feature_count_;
   MondrianForestParams params_;
   std::vector<MondrianTree> trees_;

@@ -170,13 +170,18 @@ class OnlineForest {
 
   /// Checkpoint/restore the complete forest state (every tree's structure
   /// and statistics, OOBE/age bookkeeping, drift monitors, RNG streams).
-  /// restore() requires identical construction parameters.
+  /// restore() requires identical construction parameters. save() appends
+  /// to `out`, formatting trees on `pool` when given; the bytes are the
+  /// same for any pool. The ostream form wraps it.
+  void save(std::string& out, util::ThreadPool* pool = nullptr) const;
   void save(std::ostream& os) const;
   void restore(std::istream& is);
 
   const OnlineForestParams& params() const { return params_; }
 
  private:
+  friend struct checkpoint::StreamOracle;
+
   struct OobState {
     double err[2] = {0.5, 0.5};     ///< EWMA error per true class
     std::uint32_t evals[2] = {0, 0};

@@ -16,11 +16,16 @@
 #include <iosfwd>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "util/rng.hpp"
 
 namespace core {
+
+namespace checkpoint {
+struct StreamOracle;  // tests/support: the byte-for-byte save oracle
+}  // namespace checkpoint
 
 struct OnlineTreeParams {
   int n_tests = 256;         ///< N random tests per leaf (paper uses 5000)
@@ -118,10 +123,17 @@ class OnlineTree {
   /// buffers, RNG stream) so learning can resume exactly after a restart.
   /// restore() requires the receiving tree to have identical parameters and
   /// feature count; see core/checkpoint.hpp for the forest-level API.
+  /// save(std::string&) appends; the ostream form wraps it.
+  void save(std::string& out) const;
   void save(std::ostream& os) const;
   void restore(std::istream& is);
 
+  /// Upper bound on the bytes save() appends (a reserve-ahead size).
+  std::size_t save_bound() const;
+
  private:
+  friend struct checkpoint::StreamOracle;
+
   struct LeafStats {
     std::uint32_t n[2] = {0, 0};  ///< class counts seen at this leaf
     std::vector<RandomTest> tests;

@@ -1,7 +1,8 @@
 // FleetEngine checkpoint/restore.
 //
 // Same line-oriented text format as the rest of core/checkpoint.cpp (floats
-// as hex bit patterns; see core/checkpoint.hpp). The engine section carries
+// as hex bit patterns, appended through core::checkpoint::Writer; see
+// core/checkpoint.hpp). The engine section carries
 // everything Algorithm 2 needs to resume mid-deployment: the model backend's
 // registry name, release counters, online scaler ranges, every disk's
 // unlabeled queue, then the backend's full model state. Queues are written
@@ -34,26 +35,22 @@
 #include "core/checkpoint.hpp"
 #include "engine/fleet_engine.hpp"
 #include "robust/checkpoint_io.hpp"
+#include "util/ordered_append.hpp"
 
 namespace engine {
 
-void FleetEngine::save(std::ostream& os) const {
+void FleetEngine::save(std::string& out, util::ThreadPool* pool) const {
   namespace cp = core::checkpoint;
-  os << "fleet-engine-state v1\n";
-  os << "backend=" << backend_->name() << '\n';
+  cp::Writer w(out);
+  w << "fleet-engine-state v1\n";
+  w << "backend=" << backend_->name() << '\n';
   const std::size_t features = scaler_.feature_count();
-  os << features << ' ' << params_.queue_capacity << ' '
-     << negatives_released_ << ' ' << positives_released_ << '\n';
-  os << "scaler";
-  for (double v : scaler_.mins()) {
-    os << ' ';
-    cp::put_double(os, v);
-  }
-  for (double v : scaler_.maxs()) {
-    os << ' ';
-    cp::put_double(os, v);
-  }
-  os << '\n';
+  w << features << ' ' << params_.queue_capacity << ' '
+    << negatives_released_ << ' ' << positives_released_ << '\n';
+  w << "scaler";
+  for (double v : scaler_.mins()) w << ' ' << cp::hex(v);
+  for (double v : scaler_.maxs()) w << ' ' << cp::hex(v);
+  w << '\n';
 
   std::vector<std::pair<data::DiskId, const core::LabelQueue*>> queues;
   queues.reserve(tracked_disks());
@@ -64,19 +61,33 @@ void FleetEngine::save(std::ostream& os) const {
   }
   std::sort(queues.begin(), queues.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
-  os << "queues " << queues.size() << '\n';
-  for (const auto& [disk, queue] : queues) {
-    const auto samples = queue->snapshot();
-    os << disk << ' ' << samples.size() << '\n';
-    for (const auto& x : samples) {
-      for (std::size_t f = 0; f < x.size(); ++f) {
-        if (f) os << ' ';
-        cp::put_float(os, x[f]);
-      }
-      os << '\n';
-    }
-  }
-  backend_->save(os);
+  w << "queues " << queues.size() << '\n';
+  const std::size_t row_bound = features * (cp::kMaxFloatChars + 1);
+  util::append_ordered(
+      out, queues.size(), pool,
+      [&](std::size_t q) {
+        return 2 * (cp::kMaxIntChars + 1) +
+               queues[q].second->size() * row_bound;
+      },
+      [&](std::string& text, std::size_t q) {
+        cp::Writer qw(text);
+        const auto& samples = queues[q].second->samples();
+        qw << queues[q].first << ' ' << samples.size() << '\n';
+        for (const auto& x : samples) {
+          for (std::size_t f = 0; f < x.size(); ++f) {
+            if (f) qw << ' ';
+            qw << cp::hex(x[f]);
+          }
+          qw << '\n';
+        }
+      });
+  backend_->save(out, pool);
+}
+
+void FleetEngine::save(std::ostream& os) const {
+  std::string out;
+  save(out);
+  os << out;
   robust::commit_stream(os, "engine checkpoint");
 }
 
@@ -145,9 +156,9 @@ void FleetEngine::restore(std::istream& is) {
 }
 
 void FleetEngine::save_file(const std::string& path) const {
-  std::ostringstream payload;
+  std::string payload;
   save(payload);
-  robust::write_envelope_file(path, payload.str());
+  robust::write_envelope_file(path, payload);
 }
 
 void FleetEngine::restore_file(const std::string& path) {

@@ -174,13 +174,18 @@ class FleetEngine final : public SampleSink {
   /// disk's unlabeled queue, release counters). Queues are written in
   /// ascending-DiskId order and re-sharded on restore, so the shard counts
   /// of writer and reader are independent. restore() requires identical
-  /// feature count and queue capacity.
+  /// feature count and queue capacity. save() appends to `out`, formatting
+  /// runs of queues and the model's trees on `pool` when given; the bytes
+  /// are the same for any pool. The ostream form wraps it.
+  void save(std::string& out, util::ThreadPool* pool = nullptr) const;
   void save(std::ostream& os) const;
   void restore(std::istream& is);
   void save_file(const std::string& path) const;
   void restore_file(const std::string& path);
 
  private:
+  friend struct core::checkpoint::StreamOracle;
+
   std::uint32_t shard_of(data::DiskId disk) const;
   /// One timed model learn_batch over the first `count` staged samples in
   /// learn_batch_ (callers scale into the batch first).

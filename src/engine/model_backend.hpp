@@ -92,8 +92,9 @@ class ModelBackend {
   virtual void publish_metrics() const = 0;
 
   /// Complete-state checkpoint (format owned by the backend; the engine
-  /// frames it and records name() in its own header).
-  virtual void save(std::ostream& os) const = 0;
+  /// frames it and records name() in its own header), appended to `out`.
+  /// A backend may format on `pool`, but the bytes must not depend on it.
+  virtual void save(std::string& out, util::ThreadPool* pool) const = 0;
   virtual void restore(std::istream& is) = 0;
 };
 

@@ -41,7 +41,9 @@ class MondrianBackend final : public ModelBackend {
     forest_.bind_metrics(registry);
   }
   void publish_metrics() const override { forest_.publish_metrics(); }
-  void save(std::ostream& os) const override { forest_.save(os); }
+  void save(std::string& out, util::ThreadPool* pool) const override {
+    forest_.save(out, pool);
+  }
   void restore(std::istream& is) override { forest_.restore(is); }
 
   const core::MondrianForest& forest() const { return forest_; }

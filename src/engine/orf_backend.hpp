@@ -44,7 +44,9 @@ class OrfBackend final : public ModelBackend {
     forest_.bind_metrics(registry);
   }
   void publish_metrics() const override { forest_.publish_metrics(); }
-  void save(std::ostream& os) const override { forest_.save(os); }
+  void save(std::string& out, util::ThreadPool* pool) const override {
+    forest_.save(out, pool);
+  }
   void restore(std::istream& is) override { forest_.restore(is); }
 
   /// The live forest, for ORF-specific callers (feature importance, OOBE,

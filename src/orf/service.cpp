@@ -1,13 +1,12 @@
 #include "orf/service.hpp"
 
-#include <charconv>
-#include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
+
+#include "core/checkpoint.hpp"
+#include "orf/wal_codec.hpp"
 
 namespace orf {
 
@@ -25,97 +24,6 @@ std::size_t validated(const Config& config, std::size_t feature_count) {
     throw ConfigError("config: feature_count must be positive");
   }
   return feature_count;
-}
-
-/// One hexfloat WAL cell: exactly what snprintf(" %a") prints for the
-/// float widened to double. to_chars(hex) writes the magnitude without the
-/// "0x" prefix, so the sign and prefix go first; non-finite values (which
-/// reach the WAL before the engine's stage-0 rejection) keep printf.
-void append_hex_cell(std::string& out, float value) {
-  const double v = value;
-  char cell[48];
-  if (!std::isfinite(v)) {
-    out.append(cell, static_cast<std::size_t>(
-                         std::snprintf(cell, sizeof cell, " %a", v)));
-    return;
-  }
-  out += std::signbit(v) ? " -0x" : " 0x";
-  const char* const end = std::to_chars(cell, cell + sizeof cell,
-                                        std::fabs(v), std::chars_format::hex)
-                              .ptr;
-  out.append(cell, static_cast<std::size_t>(end - cell));
-}
-
-/// One ingest batch as a WAL record payload:
-///   day <day> <reports>\n
-///   <disk> <fate> <hexfloat features...>\n   (per report)
-/// Hexfloat keeps the replayed floats bit-identical to the acked ones —
-/// the same contract every checkpoint in this codebase follows.
-std::string encode_wal_batch(data::Day day,
-                             std::span<const engine::DiskReport> batch) {
-  std::string out = "day " + std::to_string(day) + ' ' +
-                    std::to_string(batch.size()) + '\n';
-  for (const engine::DiskReport& report : batch) {
-    out += std::to_string(report.disk);
-    out += ' ';
-    out += std::to_string(static_cast<int>(report.fate));
-    for (const float value : report.features) append_hex_cell(out, value);
-    out += '\n';
-  }
-  return out;
-}
-
-/// Owned storage for a decoded batch (DiskReport holds feature spans).
-struct DecodedBatch {
-  data::Day day = 0;
-  std::vector<std::vector<float>> features;
-  std::vector<engine::DiskReport> reports;
-};
-
-DecodedBatch decode_wal_batch(std::string_view payload,
-                              std::size_t feature_count) {
-  const auto fail = [](const std::string& why) -> DecodedBatch {
-    throw std::runtime_error("wal replay: malformed record: " + why);
-  };
-  DecodedBatch batch;
-  std::istringstream is{std::string(payload)};
-  std::string line;
-  if (!std::getline(is, line) || line.compare(0, 4, "day ") != 0) {
-    return fail("missing day header");
-  }
-  char* end = nullptr;
-  const char* cursor = line.c_str() + 4;
-  batch.day = static_cast<data::Day>(std::strtoll(cursor, &end, 10));
-  const auto reports = std::strtoull(end, &end, 10);
-  if (end == cursor) return fail("bad day header");
-  batch.features.reserve(reports);
-  batch.reports.reserve(reports);
-  while (std::getline(is, line)) {
-    if (line.empty()) continue;
-    cursor = line.c_str();
-    engine::DiskReport report;
-    report.disk = static_cast<data::DiskId>(std::strtoull(cursor, &end, 10));
-    if (end == cursor) return fail("bad disk id");
-    cursor = end;
-    const long fate = std::strtol(cursor, &end, 10);
-    if (end == cursor || fate < 0 || fate > 2) return fail("bad fate");
-    report.fate = static_cast<engine::DiskFate>(fate);
-    cursor = end;
-    std::vector<float> row;
-    row.reserve(feature_count);
-    while (true) {
-      const float value = std::strtof(cursor, &end);
-      if (end == cursor) break;
-      row.push_back(value);
-      cursor = end;
-    }
-    if (row.size() != feature_count) return fail("feature count mismatch");
-    batch.features.push_back(std::move(row));
-    report.features = batch.features.back();
-    batch.reports.push_back(report);
-  }
-  if (batch.reports.size() != reports) return fail("report count mismatch");
-  return batch;
 }
 
 }  // namespace
@@ -257,7 +165,8 @@ IngestStats Service::ingest(std::span<const engine::DiskReport> batch,
   std::uint64_t sequence = 0;
   if (wal_) {
     try {
-      sequence = wal_->append(encode_wal_batch(next_day_, batch));
+      sequence =
+          wal_->append(encode_wal_batch(next_day_, batch, pool_.get()));
       wal_->sync();
     } catch (const std::exception& e) {
       enter_degraded_locked("wal", e.what());
@@ -400,7 +309,7 @@ void Service::tee_tsdb_locked(data::Day day,
 void Service::flush_tsdb_locked() {
   if (!tsdb_) return;
   try {
-    tsdb_->flush();
+    tsdb_->flush(pool_.get());
     if (tsdb_failed_) {
       tsdb_failed_ = false;
       health_.set("tsdb", robust::HealthState::kOk);
@@ -431,7 +340,7 @@ void Service::tsdb_append(data::Day day,
 void Service::tsdb_flush() {
   std::unique_lock lock(mutex_);
   if (!tsdb_) return;
-  tsdb_->flush();  // propagate: the explicit flush caller wants the error
+  tsdb_->flush(pool_.get());  // propagate: the caller wants the error
   if (tsdb_failed_) {
     tsdb_failed_ = false;
     health_.set("tsdb", robust::HealthState::kOk);
@@ -670,10 +579,10 @@ Service::Readiness Service::readiness() {
 }
 
 std::string Service::state_payload() const {
-  std::ostringstream os;
-  os << kStateHeader << "\n" << next_day_ << "\n";
-  engine_.save(os);
-  return os.str();
+  std::string out;
+  core::checkpoint::Writer(out) << kStateHeader << '\n' << next_day_ << '\n';
+  engine_.save(out, pool_.get());
+  return out;
 }
 
 void Service::restore_payload(const std::string& payload) {

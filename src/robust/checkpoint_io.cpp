@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <cerrno>
 #include <charconv>
@@ -45,18 +46,6 @@ struct Fd {
   }
 };
 
-void write_all(int fd, std::string_view bytes, const std::string& what) {
-  std::size_t done = 0;
-  while (done < bytes.size()) {
-    const ssize_t n = ::write(fd, bytes.data() + done, bytes.size() - done);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw_errno(what);
-    }
-    done += static_cast<std::size_t>(n);
-  }
-}
-
 void fsync_path(const std::string& path, const std::string& what) {
   Fd dir{::open(path.c_str(), O_RDONLY)};
   if (dir.fd < 0) throw_errno(what + " open");
@@ -65,34 +54,69 @@ void fsync_path(const std::string& path, const std::string& what) {
 
 }  // namespace
 
-std::uint32_t crc32(std::string_view bytes) {
-  // Table-driven IEEE 802.3 CRC32, table built on first use.
-  static const auto table = [] {
-    std::array<std::uint32_t, 256> t{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-      }
-      t[i] = c;
-    }
-    return t;
-  }();
-  std::uint32_t c = 0xffffffffu;
-  for (const char byte : bytes) {
-    c = table[(c ^ static_cast<unsigned char>(byte)) & 0xffu] ^ (c >> 8);
+namespace {
+
+/// Slicing-by-8 tables for the reflected IEEE polynomial: kCrcTables[0] is
+/// the classic bytewise table, kCrcTables[s][b] advances byte b through s
+/// more zero bytes, so eight input bytes fold into the CRC per step.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr CrcTables make_crc_tables() {
+  CrcTables t{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+    t[0][i] = c;
   }
-  return c ^ 0xffffffffu;
+  for (std::size_t s = 1; s < t.size(); ++s) {
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      t[s][i] = (t[s - 1][i] >> 8) ^ t[0][t[s - 1][i] & 0xffu];
+    }
+  }
+  return t;
 }
 
-std::string make_envelope(std::string_view payload) {
+constexpr CrcTables kCrcTables = make_crc_tables();
+
+/// Little-endian load, whatever the host order (compiles to one mov on x86).
+std::uint32_t load_le32(const unsigned char* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 |
+         static_cast<std::uint32_t>(p[3]) << 24;
+}
+
+/// "orf-ckpt v1 <bytes> <crc>\n" for `payload`.
+std::string envelope_header(std::string_view payload) {
   char header[64];
   const int n =
       std::snprintf(header, sizeof header, "%.*s %.*s %zu %08x\n",
                     static_cast<int>(kMagic.size()), kMagic.data(),
                     static_cast<int>(kVersion.size()), kVersion.data(),
                     payload.size(), crc32(payload));
-  std::string out(header, static_cast<std::size_t>(n));
+  return std::string(header, static_cast<std::size_t>(n));
+}
+
+}  // namespace
+
+std::uint32_t crc32(std::string_view bytes) {
+  const auto& t = kCrcTables;
+  const auto* p = reinterpret_cast<const unsigned char*>(bytes.data());
+  std::size_t n = bytes.size();
+  std::uint32_t c = 0xffffffffu;
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = load_le32(p) ^ c;
+    const std::uint32_t hi = load_le32(p + 4);
+    c = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^
+        t[5][(lo >> 16) & 0xffu] ^ t[4][lo >> 24] ^ t[3][hi & 0xffu] ^
+        t[2][(hi >> 8) & 0xffu] ^ t[1][(hi >> 16) & 0xffu] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) c = t[0][(c ^ *p) & 0xffu] ^ (c >> 8);
+  return c ^ 0xffffffffu;
+}
+
+std::string make_envelope(std::string_view payload) {
+  std::string out = envelope_header(payload);
   out.append(payload);
   return out;
 }
@@ -150,26 +174,41 @@ std::string parse_envelope(std::string_view envelope) {
   return std::string(payload);
 }
 
+void write_parts(int fd, std::span<const std::string_view> parts,
+                 const std::string& what, std::size_t limit) {
+  for (std::string_view part : parts) {
+    part = part.substr(0, std::min(part.size(), limit));
+    limit -= part.size();
+    while (!part.empty()) {
+      const ssize_t n = ::write(fd, part.data(), part.size());
+      if (n < 0) {
+        if (errno == EINTR) continue;
+        throw_errno(what);
+      }
+      part.remove_prefix(static_cast<std::size_t>(n));
+    }
+  }
+}
+
 void write_envelope_file(const std::string& path, std::string_view payload) {
-  const std::string framed = make_envelope(payload);
+  const std::string header = envelope_header(payload);
+  const std::string_view parts[] = {header, payload};
   const std::string tmp = path + ".tmp";
 
   ORF_FAILPOINT("checkpoint.open_temp");
   Fd fd{::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644)};
   if (fd.fd < 0) throw_errno("checkpoint: cannot open " + tmp);
 
-  // A short-write fault truncates the payload mid-file and then "crashes"
-  // (throws) before the rename — exactly what a power cut during write()
-  // leaves behind.
-  const std::string_view to_write = framed;
+  // A short-write fault truncates the framed bytes mid-file and then
+  // "crashes" (throws) before the rename — exactly what a power cut during
+  // write() leaves behind.
   if (const auto keep = failpoint_short_write("checkpoint.write_payload")) {
     const auto kept = static_cast<std::size_t>(
-        static_cast<double>(framed.size()) * *keep);
-    write_all(fd.fd, to_write.substr(0, kept),
-              "checkpoint: short write to " + tmp);
+        static_cast<double>(header.size() + payload.size()) * *keep);
+    write_parts(fd.fd, parts, "checkpoint: short write to " + tmp, kept);
     throw InjectedFault("checkpoint.write_payload");
   }
-  write_all(fd.fd, to_write, "checkpoint: write to " + tmp);
+  write_parts(fd.fd, parts, "checkpoint: write to " + tmp);
   ORF_FAILPOINT("checkpoint.after_payload");
 
   ORF_FAILPOINT("checkpoint.fsync");

@@ -28,7 +28,9 @@
 
 namespace robust {
 
-/// IEEE 802.3 CRC32 (the zlib polynomial), exposed for tests and tooling.
+/// IEEE 802.3 CRC32 (the zlib polynomial): the checksum of every envelope,
+/// WAL record and tsdb block frame. Slicing-by-8 — eight bytes per table
+/// step — with the same result as the bytewise table walk.
 std::uint32_t crc32(std::string_view bytes);
 
 /// Serialize `payload` into the envelope format (no file I/O).
@@ -49,6 +51,15 @@ bool looks_like_envelope(std::string_view bytes);
 /// failpoint fires. On failure the destination is untouched (a stale .tmp
 /// may remain, as after a genuine crash).
 void write_envelope_file(const std::string& path, std::string_view payload);
+
+/// Write the concatenation of `parts` to `fd`, retrying short writes and
+/// EINTR, stopping after `limit` bytes (a short-write failpoint's cut).
+/// Throws std::runtime_error naming `what` with errno context. The durable
+/// writers (envelope, WAL, tsdb) frame with it: header and payload go out
+/// back to back, never through a framed copy.
+void write_parts(int fd, std::span<const std::string_view> parts,
+                 const std::string& what,
+                 std::size_t limit = static_cast<std::size_t>(-1));
 
 /// Read `path` and return its payload. Envelope files are validated
 /// (CorruptCheckpoint on damage); anything else is returned verbatim, so

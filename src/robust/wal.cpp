@@ -37,18 +37,6 @@ constexpr std::array<const char*, 4> kWalSites = {
   throw std::runtime_error(what + ": " + std::strerror(errno));
 }
 
-void write_all(int fd, std::string_view bytes, const std::string& what) {
-  std::size_t done = 0;
-  while (done < bytes.size()) {
-    const ssize_t n = ::write(fd, bytes.data() + done, bytes.size() - done);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw_errno(what);
-    }
-    done += static_cast<std::size_t>(n);
-  }
-}
-
 void fsync_dir(const std::string& dir, const std::string& what) {
   const int fd = ::open(dir.c_str(), O_RDONLY);
   if (fd < 0) throw_errno(what + " open");
@@ -78,16 +66,14 @@ bool parse_u64(std::string_view text, std::uint64_t& out, int base = 10) {
   return ec == std::errc() && p == text.data() + text.size();
 }
 
-/// One record frame: "rec <seq> <bytes> <crc32_hex>\n<payload>\n".
-std::string frame_record(std::uint64_t sequence, std::string_view payload) {
+/// A record frame is "rec <seq> <bytes> <crc32_hex>\n<payload>\n"; this is
+/// its header line.
+std::string record_header(std::uint64_t sequence, std::string_view payload) {
   char header[64];
   const int n = std::snprintf(header, sizeof header, "rec %llu %zu %08x\n",
                               static_cast<unsigned long long>(sequence),
                               payload.size(), crc32(payload));
-  std::string out(header, static_cast<std::size_t>(n));
-  out.append(payload);
-  out.push_back('\n');
-  return out;
+  return std::string(header, static_cast<std::size_t>(n));
 }
 
 /// Walk the records of a segment's bytes, calling `fn(seq, payload)` for
@@ -234,8 +220,9 @@ void IngestWal::open_segment_locked() {
                               kSegmentMagic.data(),
                               static_cast<unsigned long long>(next_sequence_));
   try {
-    write_all(fd, std::string_view(header, static_cast<std::size_t>(n)),
-              "wal: write header " + path);
+    const std::string_view parts[] = {
+        std::string_view(header, static_cast<std::size_t>(n))};
+    write_parts(fd, parts, "wal: write header " + path);
     // The directory entry must be durable before any record in it is: a
     // synced record inside an unlinked-by-crash segment is not durable.
     fsync_dir(options_.directory, "wal: directory " + options_.directory);
@@ -251,18 +238,18 @@ void IngestWal::open_segment_locked() {
 std::uint64_t IngestWal::append(std::string_view payload) {
   if (fd_ < 0) open_segment_locked();
   const std::uint64_t sequence = next_sequence_;
-  const std::string framed = frame_record(sequence, payload);
+  const std::string header = record_header(sequence, payload);
+  const std::string_view parts[] = {header, payload, "\n"};
   try {
     // A short-write fault truncates the record mid-frame and then throws —
     // the torn tail a real crash would leave.
     if (const auto keep = failpoint_short_write("wal.append")) {
       const auto kept = static_cast<std::size_t>(
-          static_cast<double>(framed.size()) * *keep);
-      write_all(fd_, std::string_view(framed).substr(0, kept),
-                "wal: short append");
+          static_cast<double>(header.size() + payload.size() + 1) * *keep);
+      write_parts(fd_, parts, "wal: short append", kept);
       throw InjectedFault("wal.append");
     }
-    write_all(fd_, framed, "wal: append");
+    write_parts(fd_, parts, "wal: append");
     dirty_ = true;
     if (options_.sync == SyncPolicy::kAlways) sync_open_segment();
   } catch (...) {

@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <charconv>
+#include <cstring>
 #include <cstdio>
 #include <stdexcept>
 
@@ -16,6 +17,9 @@ namespace {
 /// enough that a damaged header can never provoke a giant allocation.
 constexpr std::uint32_t kMaxRowsPerBlock = 1u << 24;
 
+/// Widest frame header line: "blk " + 20 digits + ' ' + 8 hex digits + '\n'.
+constexpr std::size_t kMaxFrameHeader = 34;
+
 [[noreturn]] void corrupt(const std::string& why) {
   throw CorruptSegment("tsdb block: " + why);
 }
@@ -29,9 +33,11 @@ std::int32_t unzigzag(std::uint32_t u) {
   return static_cast<std::int32_t>((u >> 1) ^ (~(u & 1) + 1));
 }
 
-/// MSB-first bit accumulator; bytes spill into the output string.
+/// MSB-first bit accumulator; bytes spill into a caller-owned string.
 class BitWriter {
  public:
+  explicit BitWriter(std::string& out) : out_(out) {}
+
   void put(std::uint32_t value, int bits) {
     if (bits < 32) value &= (1u << bits) - 1;
     acc_ = (acc_ << bits) | value;
@@ -42,16 +48,15 @@ class BitWriter {
     }
   }
 
-  std::string finish() {
+  void finish() {
     if (used_ > 0) {
       out_.push_back(static_cast<char>((acc_ << (8 - used_)) & 0xFF));
       used_ = 0;
     }
-    return std::move(out_);
   }
 
  private:
-  std::string out_;
+  std::string& out_;
   std::uint64_t acc_ = 0;
   int used_ = 0;  ///< bits of acc_ not yet spilled (< 8 between puts)
 };
@@ -172,10 +177,18 @@ std::int32_t get_dod(BitReader& in) {
 
 }  // namespace
 
-std::string encode_block(data::DiskId disk, std::size_t feature_count,
-                         std::span<const data::Day> days,
-                         std::span<const std::uint8_t> fates,
-                         std::span<const float> values) {
+std::size_t block_frame_bound(std::size_t rows, std::size_t feature_count) {
+  // Header words, then per row the widest day delta ('111' + 32 bits) and
+  // fate, per value the widest XOR cell ('11' + 5 + 5 + 32 bits); plus the
+  // "blk <bytes> <crc>\n" line.
+  const std::size_t bits = 128 + rows * (35 + 2) + rows * feature_count * 44;
+  return bits / 8 + 1 + kMaxFrameHeader;
+}
+
+void append_block(std::string& out, data::DiskId disk,
+                  std::size_t feature_count, std::span<const data::Day> days,
+                  std::span<const std::uint8_t> fates,
+                  std::span<const float> values) {
   const std::size_t rows = days.size();
   if (rows == 0 || rows > kMaxRowsPerBlock) {
     throw std::invalid_argument("tsdb encode_block: bad row count");
@@ -185,40 +198,55 @@ std::string encode_block(data::DiskId disk, std::size_t feature_count,
     throw std::invalid_argument("tsdb encode_block: shape mismatch");
   }
 
-  BitWriter out;
-  out.put(disk, 32);
-  out.put(static_cast<std::uint32_t>(days.front()), 32);
-  out.put(static_cast<std::uint32_t>(rows), 32);
-  out.put(static_cast<std::uint32_t>(feature_count), 32);
+  // The payload is encoded behind room for the widest header line, then
+  // slid down behind the real one once its length and CRC are known.
+  const std::size_t start = out.size();
+  out.append(kMaxFrameHeader, '\0');
+  BitWriter bits(out);
+  bits.put(disk, 32);
+  bits.put(static_cast<std::uint32_t>(days.front()), 32);
+  bits.put(static_cast<std::uint32_t>(rows), 32);
+  bits.put(static_cast<std::uint32_t>(feature_count), 32);
 
   // Delta-of-delta days against the expected daily cadence (delta 1), so an
   // unbroken run of daily rows costs one bit per row.
   std::int32_t prev_delta = 1;
   for (std::size_t i = 1; i < rows; ++i) {
     const std::int32_t delta = days[i] - days[i - 1];
-    put_dod(out, delta - prev_delta);
+    put_dod(bits, delta - prev_delta);
     prev_delta = delta;
   }
   for (std::size_t i = 0; i < rows; ++i) {
-    out.put(fates[i], 2);
+    bits.put(fates[i], 2);
   }
   // Column-major XOR chains: each feature's series is its own chain, so a
   // flat-lining attribute costs one bit per row regardless of neighbours.
   for (std::size_t f = 0; f < feature_count; ++f) {
     XorState state;
     for (std::size_t i = 0; i < rows; ++i) {
-      put_value(out, state,
+      put_value(bits, state,
                 std::bit_cast<std::uint32_t>(values[i * feature_count + f]));
     }
   }
+  bits.finish();
 
-  const std::string payload = out.finish();
-  char header[48];
-  const int n =
-      std::snprintf(header, sizeof header, "blk %zu %08x\n", payload.size(),
-                    robust::crc32(payload));
-  std::string frame(header, static_cast<std::size_t>(n));
-  frame += payload;
+  const std::size_t payload_at = start + kMaxFrameHeader;
+  const std::size_t payload_bytes = out.size() - payload_at;
+  char header[kMaxFrameHeader + 1];
+  const auto n = static_cast<std::size_t>(std::snprintf(
+      header, sizeof header, "blk %zu %08x\n", payload_bytes,
+      robust::crc32(std::string_view(out).substr(payload_at))));
+  std::memmove(out.data() + start + n, out.data() + payload_at, payload_bytes);
+  std::memcpy(out.data() + start, header, n);
+  out.resize(start + n + payload_bytes);
+}
+
+std::string encode_block(data::DiskId disk, std::size_t feature_count,
+                         std::span<const data::Day> days,
+                         std::span<const std::uint8_t> fates,
+                         std::span<const float> values) {
+  std::string frame;
+  append_block(frame, disk, feature_count, days, fates, values);
   return frame;
 }
 

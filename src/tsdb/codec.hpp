@@ -46,6 +46,17 @@ std::string encode_block(data::DiskId disk, std::size_t feature_count,
                          std::span<const std::uint8_t> fates,
                          std::span<const float> values);
 
+/// Append the same frame to `out`. A caller that reserved
+/// block_frame_bound(rows, feature_count) spare bytes makes no allocation
+/// here.
+void append_block(std::string& out, data::DiskId disk,
+                  std::size_t feature_count, std::span<const data::Day> days,
+                  std::span<const std::uint8_t> fates,
+                  std::span<const float> values);
+
+/// Upper bound on the bytes append_block adds to `out` for `rows` rows.
+std::size_t block_frame_bound(std::size_t rows, std::size_t feature_count);
+
 /// Decode a whole frame (as sliced by a catalog BlockRef). Validates magic,
 /// length, CRC, the embedded feature count against `feature_count`, and
 /// that the bit stream ends exactly where the payload does; any mismatch is

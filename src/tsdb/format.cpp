@@ -1,6 +1,7 @@
 #include "tsdb/format.hpp"
 
 #include <charconv>
+#include <cstdint>
 #include <cstdio>
 
 namespace tsdb {
@@ -58,23 +59,36 @@ std::string segment_name(std::uint32_t id) {
 }
 
 std::string serialize_catalog(const Catalog& catalog) {
-  std::string out(kCatalogMagic);
-  out += "\nfeatures " + std::to_string(catalog.feature_count);
-  out += "\nfirst_day " + std::to_string(catalog.first_day);
+  // One reserve for the whole catalog (it lists every block the store
+  // holds), then each field is to_chars'd straight into it.
+  constexpr std::size_t kMaxField = 21;  // any 64-bit decimal + separator
+  std::string out;
+  out.reserve(kCatalogMagic.size() + 5 * (12 + kMaxField) +
+              catalog.blocks.size() * (6 + 7 * kMaxField));
+  const auto field = [&out](std::string_view key, auto value) {
+    out += key;
+    char digits[kMaxField];
+    out.append(digits, std::to_chars(digits, digits + kMaxField, value).ptr);
+  };
+  out += kCatalogMagic;
+  field("\nfeatures ", catalog.feature_count);
+  field("\nfirst_day ", catalog.first_day);
   // The floor line only appears once GC has moved it, so catalogs of
   // stores that never retire anything stay byte-identical to the
   // pre-retention format.
   if (catalog.floor_day > catalog.first_day) {
-    out += "\nfloor " + std::to_string(catalog.floor_day);
+    field("\nfloor ", catalog.floor_day);
   }
-  out += "\nnext_day " + std::to_string(catalog.next_day);
-  out += "\nblocks " + std::to_string(catalog.blocks.size());
+  field("\nnext_day ", catalog.next_day);
+  field("\nblocks ", catalog.blocks.size());
   for (const BlockRef& block : catalog.blocks) {
-    out += "\nblock " + std::to_string(block.disk) + ' ' +
-           std::to_string(block.segment_id) + ' ' +
-           std::to_string(block.offset) + ' ' + std::to_string(block.bytes) +
-           ' ' + std::to_string(block.first_day) + ' ' +
-           std::to_string(block.last_day) + ' ' + std::to_string(block.rows);
+    field("\nblock ", block.disk);
+    field(" ", block.segment_id);
+    field(" ", block.offset);
+    field(" ", block.bytes);
+    field(" ", block.first_day);
+    field(" ", block.last_day);
+    field(" ", block.rows);
   }
   out += '\n';
   return out;

@@ -15,6 +15,7 @@
 #include "robust/checkpoint_io.hpp"
 #include "robust/failpoint.hpp"
 #include "tsdb/codec.hpp"
+#include "util/ordered_append.hpp"
 
 namespace tsdb {
 
@@ -35,15 +36,8 @@ constexpr std::array<const char*, 5> kTsdbSites = {
 }
 
 void write_all(int fd, std::string_view bytes, const std::string& what) {
-  std::size_t done = 0;
-  while (done < bytes.size()) {
-    const ssize_t n = ::write(fd, bytes.data() + done, bytes.size() - done);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw_errno(what);
-    }
-    done += static_cast<std::size_t>(n);
-  }
+  const std::string_view parts[] = {bytes};
+  robust::write_parts(fd, parts, what);
 }
 
 void fsync_dir(const std::string& dir, const std::string& what) {
@@ -224,39 +218,76 @@ void Writer::open_segment() {
   next_segment_id_ = id + 1;
 }
 
-void Writer::flush() {
+void Writer::flush(util::ThreadPool* pool) {
   if (pending_.empty() && next_day_ == committed_next_day_) return;
 
+  // Encode every buffered disk's block, ascending DiskId, back to back into
+  // one buffer: runs of disks on `pool`, appended in order, so the bytes
+  // are the same for any pool.
+  std::vector<std::pair<data::DiskId, const Pending*>> disks;
+  disks.reserve(pending_.size());
+  for (const auto& [disk, pending] : pending_) {
+    disks.emplace_back(disk, &pending);
+  }
+  std::vector<std::size_t> frame_bytes(disks.size());
+  std::string encoded;
+  util::append_ordered(
+      encoded, disks.size(), pool,
+      [&](std::size_t i) {
+        return block_frame_bound(disks[i].second->days.size(),
+                                 options_.feature_count);
+      },
+      [&](std::string& text, std::size_t i) {
+        const std::size_t before = text.size();
+        const Pending& pending = *disks[i].second;
+        append_block(text, disks[i].first, options_.feature_count,
+                     pending.days, pending.fates, pending.values);
+        frame_bytes[i] = text.size() - before;
+      });
+
   std::vector<BlockRef> staged;
-  staged.reserve(pending_.size());
+  staged.reserve(disks.size());
   std::uint64_t staged_bytes = 0;
   std::size_t retired_blocks = 0;
   try {
-    for (const auto& [disk, pending] : pending_) {
+    // Frames go out one write per segment run: `unwritten` is where the
+    // bytes not yet handed to the open segment start.
+    std::size_t at = 0;
+    std::size_t unwritten = 0;
+    const auto write_run = [&] {
+      write_all(fd_,
+                std::string_view(encoded).substr(unwritten, at - unwritten),
+                "tsdb: append block");
+      unwritten = at;
+    };
+    for (std::size_t i = 0; i < disks.size(); ++i) {
       if (fd_ >= 0 && open_segment_size_ >= options_.segment_max_bytes) {
         // Rotation: the outgoing segment's frames must be durable before
         // it is dropped from the write path.
+        write_run();
         ORF_FAILPOINT("tsdb.fsync");
         if (::fsync(fd_) != 0) throw_errno("tsdb: fsync segment");
         retire_segment();
       }
       if (fd_ < 0) open_segment();
-      const std::string frame =
-          encode_block(disk, options_.feature_count, pending.days,
-                       pending.fates, pending.values);
-      // A short-write fault truncates the frame mid-block then throws —
-      // the torn tail a real crash would leave (and the catalog never
-      // learns about).
-      if (const auto keep =
-              robust::failpoint_short_write("tsdb.append_block")) {
-        const auto kept = static_cast<std::size_t>(
-            static_cast<double>(frame.size()) * *keep);
-        write_all(fd_, std::string_view(frame).substr(0, kept),
-                  "tsdb: short append");
-        throw robust::InjectedFault("tsdb.append_block");
+      const std::string_view frame =
+          std::string_view(encoded).substr(at, frame_bytes[i]);
+      if (robust::failpoints_armed()) {
+        // Under fault injection each frame goes out on its own, so a fault
+        // here finds exactly the earlier frames on disk. A short-write
+        // fault truncates this frame mid-block then throws — the torn tail
+        // a real crash would leave (and the catalog never learns about).
+        write_run();
+        if (const auto keep =
+                robust::failpoint_short_write("tsdb.append_block")) {
+          const auto kept = static_cast<std::size_t>(
+              static_cast<double>(frame.size()) * *keep);
+          write_all(fd_, frame.substr(0, kept), "tsdb: short append");
+          throw robust::InjectedFault("tsdb.append_block");
+        }
       }
-      write_all(fd_, frame, "tsdb: append block");
-      staged.push_back(BlockRef{.disk = disk,
+      const Pending& pending = *disks[i].second;
+      staged.push_back(BlockRef{.disk = disks[i].first,
                                 .segment_id = open_segment_id_,
                                 .offset = open_segment_size_,
                                 .bytes = frame.size(),
@@ -266,8 +297,10 @@ void Writer::flush() {
                                     pending.days.size())});
       open_segment_size_ += frame.size();
       staged_bytes += frame.size();
+      at += frame.size();
     }
     if (!staged.empty()) {
+      write_run();
       ORF_FAILPOINT("tsdb.fsync");
       if (::fsync(fd_) != 0) throw_errno("tsdb: fsync segment");
     }
@@ -279,13 +312,15 @@ void Writer::flush() {
     catalog.feature_count = options_.feature_count;
     catalog.first_day = first_day();
     catalog.next_day = next_day_;
-    catalog.blocks = blocks_;
-    catalog.blocks.insert(catalog.blocks.end(), staged.begin(), staged.end());
-    std::sort(catalog.blocks.begin(), catalog.blocks.end(),
-              [](const BlockRef& a, const BlockRef& b) {
-                return a.disk != b.disk ? a.disk < b.disk
-                                        : a.first_day < b.first_day;
-              });
+    // Both runs are ascending (disk, first_day), and a staged block starts
+    // past every committed day of its disk: one merge keeps the order.
+    catalog.blocks.resize(blocks_.size() + staged.size());
+    std::merge(blocks_.begin(), blocks_.end(), staged.begin(), staged.end(),
+               catalog.blocks.begin(),
+               [](const BlockRef& a, const BlockRef& b) {
+                 return a.disk != b.disk ? a.disk < b.disk
+                                         : a.first_day < b.first_day;
+               });
     // Retention: advance the replay floor, then drop the blocks that ended
     // below it *before* the commit — the catalog that lands never points at
     // anything GC may unlink. A block straddling the floor stays whole, so

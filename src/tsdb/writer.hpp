@@ -2,10 +2,11 @@
 //
 // Rows arrive one day-batch at a time (the Service's ingest tee) and buffer
 // in memory per disk; flush() — ridden by the Service's checkpoint cadence
-// — encodes one block per buffered disk in ascending DiskId order, appends
-// the frames to the current segment, fsyncs it, and only then atomically
-// rewrites the catalog. The catalog is the commit point: a crash anywhere
-// before it leaves the previous committed extent intact (torn segment tails
+// — encodes one block per buffered disk (concurrently on the Service's
+// pool), lays the frames out in ascending DiskId order with one write per
+// segment run, fsyncs, and only then atomically rewrites the catalog. The
+// catalog is the commit point: a crash anywhere before it leaves the
+// previous committed extent intact (torn segment tails
 // are never referenced), and the lost buffered days are exactly the ones
 // the ingest WAL replays — whose re-tee the day-keyed `next_day` high-water
 // mark deduplicates, the same idempotence scheme the Service uses for
@@ -32,6 +33,7 @@
 
 #include "obs/registry.hpp"
 #include "tsdb/format.hpp"
+#include "util/thread_pool.hpp"
 
 namespace tsdb {
 
@@ -77,7 +79,9 @@ class Writer {
   /// No-op when nothing changed since the last commit. On failure the
   /// buffer is kept (a later flush retries) and the committed extent is
   /// untouched; bytes already appended past it are dead crash debris.
-  void flush();
+  /// With `pool`, blocks encode concurrently; the bytes on disk are the
+  /// same for any pool.
+  void flush(util::ThreadPool* pool = nullptr);
 
   /// First day the next append_day may carry (committed ∨ buffered).
   data::Day next_day() const { return next_day_; }

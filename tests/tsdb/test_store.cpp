@@ -9,6 +9,8 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -17,6 +19,7 @@
 #include "tsdb/format.hpp"
 #include "tsdb/reader.hpp"
 #include "tsdb/writer.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -363,6 +366,88 @@ TEST_F(TsdbStoreTest, EmptyTrailingDaysCommitWithoutNewBlocks) {
   tsdb::Reader reader(dir_.string());
   EXPECT_EQ(reader.end_day(), 3);
   EXPECT_EQ(reader.total_rows(), 4u);
+}
+
+TEST_F(TsdbStoreTest, PooledFlushIsByteIdenticalToSequential) {
+  // Same days into two stores, one flushed on a pool: every segment and
+  // the catalog must match byte for byte — across segment rotations
+  // inside a flush, appends to an existing segment, and retention.
+  const auto files_of = [](const fs::path& root) {
+    std::map<std::string, std::string> files;
+    for (const auto& entry : fs::directory_iterator(root)) {
+      std::ifstream is(entry.path(), std::ios::binary);
+      files[entry.path().filename().string()] =
+          std::string(std::istreambuf_iterator<char>(is), {});
+    }
+    return files;
+  };
+  util::ThreadPool pool(4);
+  std::map<std::string, std::string> reference;
+  for (const bool pooled : {false, true}) {
+    SCOPED_TRACE(pooled ? "pooled" : "sequential");
+    const fs::path root = dir_ / (pooled ? "pooled" : "sequential");
+    auto opts = options(/*segment_max=*/700);
+    opts.directory = root.string();
+    opts.retain_days = 9;
+    tsdb::Writer writer(opts);
+    for (data::Day from = 0; from < 24; from += 6) {
+      append_days(writer, from, from + 6, 37);
+      writer.flush(pooled ? &pool : nullptr);
+    }
+    const auto files = files_of(root);
+    EXPECT_GT(files.size(), 3u);
+    if (!pooled) {
+      reference = files;
+      continue;
+    }
+    EXPECT_EQ(files.size(), reference.size());
+    for (const auto& [name, bytes] : reference) {
+      SCOPED_TRACE(name);
+      ASSERT_EQ(files.count(name), 1u);
+      EXPECT_TRUE(files.at(name) == bytes);
+    }
+  }
+}
+
+TEST_F(TsdbStoreTest, CatalogSerializationMatchesTheReferenceText) {
+  // The to_chars serializer against the original std::to_string one.
+  tsdb::Catalog catalog;
+  catalog.feature_count = 19;
+  catalog.first_day = -2;
+  catalog.floor_day = 5;
+  catalog.next_day = 480;
+  for (std::uint32_t i = 0; i < 50; ++i) {
+    catalog.blocks.push_back(tsdb::BlockRef{
+        .disk = i * 4093u + (i == 49 ? 4000000000u : 0u),
+        .segment_id = i / 7,
+        .offset = (std::uint64_t{1} << (i % 63)) + i,
+        .bytes = 100 + i,
+        .first_day = static_cast<data::Day>(i) - 3,
+        .last_day = static_cast<data::Day>(i) + 30,
+        .rows = 30 + i});
+  }
+  for (const bool with_floor : {true, false}) {
+    if (!with_floor) catalog.floor_day = catalog.first_day;
+    std::string reference(tsdb::kCatalogMagic);
+    reference += "\nfeatures " + std::to_string(catalog.feature_count);
+    reference += "\nfirst_day " + std::to_string(catalog.first_day);
+    if (catalog.floor_day > catalog.first_day) {
+      reference += "\nfloor " + std::to_string(catalog.floor_day);
+    }
+    reference += "\nnext_day " + std::to_string(catalog.next_day);
+    reference += "\nblocks " + std::to_string(catalog.blocks.size());
+    for (const tsdb::BlockRef& block : catalog.blocks) {
+      reference += "\nblock " + std::to_string(block.disk) + ' ' +
+                   std::to_string(block.segment_id) + ' ' +
+                   std::to_string(block.offset) + ' ' +
+                   std::to_string(block.bytes) + ' ' +
+                   std::to_string(block.first_day) + ' ' +
+                   std::to_string(block.last_day) + ' ' +
+                   std::to_string(block.rows);
+    }
+    reference += '\n';
+    EXPECT_EQ(tsdb::serialize_catalog(catalog), reference);
+  }
 }
 
 }  // namespace

@@ -1,8 +1,10 @@
 // Microbenchmarks + ablations for the ORF hot paths:
 // update/predict throughput, Poisson-bagging cost, candidate-test count N
-// (the paper uses 5000), parallel tree updates, and the replacement policy.
+// (the paper uses 5000), parallel tree updates, the replacement policy, and
+// steady-state learning of a forest warmed past α.
 #include <benchmark/benchmark.h>
 
+#include <span>
 #include <vector>
 
 #include "core/online_forest.hpp"
@@ -111,6 +113,49 @@ void BM_OrfUpdateParallel(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_OrfUpdateParallel)->Arg(1)->Arg(2)->Arg(4);
+
+/// Steady-state learning: a 30-tree forest is first warmed on a skewed
+/// stream (1% positives, λn = 0.02) until its trees hold leaves past α, so
+/// the timed batches exercise split decisions and test counting rather
+/// than the cold leaf buffering the cases above mostly time. Batches of 512
+/// go through update_batch, as the engine's learn stage does; the argument
+/// is the pool's thread count. Reports µs per learned sample (wall clock).
+void BM_OrfLearnSteadyState(benchmark::State& state) {
+  constexpr std::size_t kStream = 65536;
+  constexpr std::size_t kWarmPasses = 3;
+  constexpr std::size_t kBatch = 512;
+  std::vector<int> labels;
+  auto rows = make_stream(kStream, 0.01, labels);
+  std::vector<core::LabeledVector> stream(kStream);
+  for (std::size_t i = 0; i < kStream; ++i) {
+    stream[i] = {std::move(rows[i]), labels[i]};
+  }
+  const std::span<const core::LabeledVector> all(stream);
+  const auto threads = static_cast<std::size_t>(state.range(0));
+  util::ThreadPool pool(threads);
+  util::ThreadPool* const use = threads > 1 ? &pool : nullptr;
+  core::OnlineForest forest(kFeatures, params_with_tests(256), 7);
+  for (std::size_t pass = 0; pass < kWarmPasses; ++pass) {
+    for (std::size_t i = 0; i < kStream; i += kBatch) {
+      forest.update_batch(all.subspan(i, kBatch), use);
+    }
+  }
+  std::size_t next = 0;
+  for (auto _ : state) {
+    forest.update_batch(all.subspan(next, kBatch), use);
+    next = (next + kBatch) % kStream;
+  }
+  const auto samples = static_cast<double>(state.iterations() * kBatch);
+  state.SetItemsProcessed(static_cast<std::int64_t>(samples));
+  state.counters["us_per_sample"] = benchmark::Counter(
+      samples * 1e-6,
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_OrfLearnSteadyState)
+    ->Arg(1)
+    ->Arg(4)
+    ->Iterations(200)
+    ->UseRealTime();
 
 /// Full Algorithm-2 path: queue + online scaling + forest.
 void BM_OnlinePredictorObserve(benchmark::State& state) {

@@ -233,7 +233,10 @@ void MondrianTree::restore(std::istream& is) {
 MondrianForest::MondrianForest(std::size_t feature_count,
                                const MondrianForestParams& params,
                                std::uint64_t seed)
-    : feature_count_(feature_count), params_(params) {
+    : feature_count_(feature_count),
+      params_(params),
+      rate_{util::Rng::PoissonRate(params.lambda_neg),
+            util::Rng::PoissonRate(params.lambda_pos)} {
   if (feature_count_ == 0) {
     throw std::invalid_argument("MondrianForest: feature_count must be > 0");
   }
@@ -255,10 +258,10 @@ void MondrianForest::update(std::span<const float> x, int y,
     throw std::invalid_argument("MondrianForest::update: wrong feature count");
   }
   ++samples_seen_;
-  const double lambda = y == 1 ? params_.lambda_pos : params_.lambda_neg;
+  const util::Rng::PoissonRate& rate = rate_[y == 1 ? 1 : 0];
   const auto apply = [&](std::size_t t) {
     util::Rng& rng = tree_rngs_[t];
-    const unsigned k = rng.poisson(lambda);
+    const unsigned k = rng.poisson(rate);
     for (unsigned i = 0; i < k; ++i) trees_[t].update(x, y, rng);
   };
   if (pool != nullptr && pool->thread_count() > 1) {
@@ -287,8 +290,7 @@ void MondrianForest::update_batch(std::span<const LabeledVector> batch,
   pool->parallel_for(trees_.size(), [&](std::size_t t) {
     util::Rng& rng = tree_rngs_[t];
     for (const auto& s : batch) {
-      const double lambda = s.y == 1 ? params_.lambda_pos : params_.lambda_neg;
-      const unsigned k = rng.poisson(lambda);
+      const unsigned k = rng.poisson(rate_[s.y == 1 ? 1 : 0]);
       for (unsigned i = 0; i < k; ++i) trees_[t].update(s.x, s.y, rng);
     }
   });

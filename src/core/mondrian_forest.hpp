@@ -158,6 +158,7 @@ class MondrianForest {
   friend struct checkpoint::StreamOracle;
   std::size_t feature_count_;
   MondrianForestParams params_;
+  util::Rng::PoissonRate rate_[2];  ///< Poisson(λn), Poisson(λp) by label
   std::vector<MondrianTree> trees_;
   std::vector<util::Rng> tree_rngs_;  ///< per-tree Poisson + split streams
   std::uint64_t samples_seen_ = 0;

@@ -9,7 +9,10 @@ namespace core {
 OnlineForest::OnlineForest(std::size_t feature_count,
                            const OnlineForestParams& params,
                            std::uint64_t seed)
-    : feature_count_(feature_count), params_(params) {
+    : feature_count_(feature_count),
+      params_(params),
+      rate_{util::Rng::PoissonRate(params.lambda_neg),
+            util::Rng::PoissonRate(params.lambda_pos)} {
   if (params_.n_trees <= 0) {
     throw std::invalid_argument("OnlineForest: n_trees must be > 0");
   }
@@ -32,8 +35,7 @@ OnlineForest::OnlineForest(std::size_t feature_count,
 
 void OnlineForest::update_one_tree(std::size_t t, std::span<const float> x,
                                    int y) {
-  const double lambda = y == 1 ? params_.lambda_pos : params_.lambda_neg;
-  const unsigned k = tree_rngs_[t].poisson(lambda);
+  const unsigned k = tree_rngs_[t].poisson(rate_[y == 1 ? 1 : 0]);
   if (k > 0) {
     for (unsigned i = 0; i < k; ++i) trees_[t].update(x, y);
     age_[t] += k;

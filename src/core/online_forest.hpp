@@ -68,6 +68,7 @@ class OnlineForest {
   OnlineForest(OnlineForest&& other) noexcept
       : feature_count_(other.feature_count_),
         params_(other.params_),
+        rate_{other.rate_[0], other.rate_[1]},
         trees_(std::move(other.trees_)),
         tree_rngs_(std::move(other.tree_rngs_)),
         oob_(std::move(other.oob_)),
@@ -81,6 +82,8 @@ class OnlineForest {
   OnlineForest& operator=(OnlineForest&& other) noexcept {
     feature_count_ = other.feature_count_;
     params_ = other.params_;
+    rate_[0] = other.rate_[0];
+    rate_[1] = other.rate_[1];
     trees_ = std::move(other.trees_);
     tree_rngs_ = std::move(other.tree_rngs_);
     oob_ = std::move(other.oob_);
@@ -191,6 +194,7 @@ class OnlineForest {
 
   std::size_t feature_count_;
   OnlineForestParams params_;
+  util::Rng::PoissonRate rate_[2];  ///< Poisson(λn), Poisson(λp) by label
   std::vector<OnlineTree> trees_;
   std::vector<util::Rng> tree_rngs_;  ///< per-tree Poisson streams
   std::vector<OobState> oob_;

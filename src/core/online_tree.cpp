@@ -1,6 +1,7 @@
 #include "core/online_tree.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 namespace core {
@@ -27,6 +28,73 @@ double gini_gain(std::uint32_t n0, std::uint32_t n1, std::uint32_t r0,
          left_total / total * gini(l0, l1) -
          right_total / total * gini(static_cast<double>(r0),
                                     static_cast<double>(r1));
+}
+
+double split_bar(std::uint32_t n0, std::uint32_t n1, double min_gain,
+                 bool relative_gain) {
+  if (!relative_gain) return min_gain;
+  const auto gini = [](double c0, double c1) {
+    const double t = c0 + c1;
+    if (t <= 0.0) return 0.0;
+    const double p1 = c1 / t;
+    return 2.0 * p1 * (1.0 - p1);
+  };
+  return min_gain * gini(n0, n1);
+}
+
+SplitDecision reference_split(std::uint32_t n0, std::uint32_t n1,
+                              std::span<const std::uint32_t> right0,
+                              std::span<const std::uint32_t> right1,
+                              double bar) {
+  double best_gain = 0.0;
+  std::size_t best_test = 0;
+  for (std::size_t t = 0; t < right0.size(); ++t) {
+    const double gain = gini_gain(n0, n1, right0[t], right1[t]);
+    if (gain > best_gain) {
+      best_gain = gain;
+      best_test = t;
+    }
+  }
+  if (best_gain <= 0.0 || best_gain < bar) return {};
+  // Degenerate partitions cannot reach a gain > 0, but guard anyway.
+  const bool left_empty = right0[best_test] == n0 && right1[best_test] == n1;
+  const bool right_empty = right0[best_test] == 0 && right1[best_test] == 0;
+  if (left_empty || right_empty) return {};
+  return {true, best_test, best_gain};
+}
+
+SplitDecision choose_split(std::uint32_t n0, std::uint32_t n1,
+                           std::span<const std::uint32_t> right0,
+                           std::span<const std::uint32_t> right1,
+                           double min_gain, bool relative_gain) {
+  // One class only: every reference gain is exactly 0.0, so no split.
+  if (n0 == 0 || n1 == 0) return {};
+  const double bar = split_bar(n0, n1, min_gain, relative_gain);
+  // Screen. With N = L + R and exact arithmetic, ΔG ≥ bar holds iff
+  //   l0·l1·R + r0·r1·L ≤ K·L·R,   K = n0·n1/N − bar·N/2.
+  // K is padded by N·(2^-41 + 2^-50·(1 + |bar|)), which covers both the
+  // reference's rounding (its gains are within 2^-40 of exact) and this
+  // loop's, so a test failing `lhs < rhs` has a reference gain < bar
+  // (DESIGN.md, "The learn kernel"). A test with L = 0 or R = 0 has
+  // lhs = rhs = 0, so it fails too; its reference gain is exactly 0.
+  const double c0 = static_cast<double>(n0);
+  const double c1 = static_cast<double>(n1);
+  const double n = c0 + c1;
+  const double pad = n * (0x1p-41 + 0x1p-50 * (1.0 + std::fabs(bar)));
+  const double k = c0 * c1 / n - bar * n * 0.5 + pad;
+  if (!std::isfinite(k)) return reference_split(n0, n1, right0, right1, bar);
+  bool may_reach = false;
+  for (std::size_t t = 0; t < right0.size(); ++t) {
+    const auto r0 = static_cast<double>(right0[t]);
+    const auto r1 = static_cast<double>(right1[t]);
+    const double l0 = c0 - r0;
+    const double l1 = c1 - r1;
+    const double l = l0 + l1;
+    const double r = r0 + r1;
+    may_reach |= l0 * l1 * r + r0 * r1 * l < k * (l * r);
+  }
+  if (!may_reach) return {};
+  return reference_split(n0, n1, right0, right1, bar);
 }
 
 OnlineTree::OnlineTree(std::size_t feature_count,
@@ -68,32 +136,41 @@ std::int32_t OnlineTree::make_leaf(std::int16_t depth, float prior) {
 
 void OnlineTree::create_tests(LeafStats& stats) {
   const auto n = static_cast<std::size_t>(params_.n_tests);
-  stats.tests.resize(n);
-  stats.right_counts.assign(n, {0, 0});
-  for (auto& test : stats.tests) {
-    test.feature = static_cast<std::uint16_t>(rng_.below(feature_count_));
-    if (!stats.buffer.empty() &&
-        !rng_.bernoulli(params_.uniform_test_fraction)) {
+  stats.feature.resize(n);
+  stats.threshold.resize(n);
+  stats.right[0].assign(n, 0);
+  stats.right[1].assign(n, 0);
+  const std::size_t buffered = stats.buffer_y.size();
+  for (std::size_t t = 0; t < n; ++t) {
+    const auto feature = static_cast<std::uint16_t>(rng_.below(feature_count_));
+    stats.feature[t] = feature;
+    if (buffered != 0 && !rng_.bernoulli(params_.uniform_test_fraction)) {
       // Data-driven threshold: the observed value of a random buffered
       // sample on this feature.
-      const auto& sample = stats.buffer[rng_.below(stats.buffer.size())];
-      test.threshold = sample.first[test.feature];
+      stats.threshold[t] =
+          stats.buffered(rng_.below(buffered), feature_count_)[feature];
     } else {
-      test.threshold = static_cast<float>(rng_.uniform());
+      stats.threshold[t] = static_cast<float>(rng_.uniform());
     }
   }
   stats.tests_ready = true;
   // Replay the buffer so test statistics cover every sample this leaf saw.
-  for (const auto& [x, y] : stats.buffer) apply_to_tests(stats, x, y);
-  stats.buffer.clear();
-  stats.buffer.shrink_to_fit();
+  for (std::size_t i = 0; i < buffered; ++i) {
+    apply_to_tests(stats, stats.buffered(i, feature_count_), stats.buffer_y[i]);
+  }
+  stats.buffer_x = {};
+  stats.buffer_y = {};
 }
 
 void OnlineTree::apply_to_tests(LeafStats& stats, std::span<const float> x,
-                                int y) {
-  const std::size_t cls = y == 1 ? 1 : 0;
-  for (std::size_t t = 0; t < stats.tests.size(); ++t) {
-    if (stats.tests[t].goes_right(x)) ++stats.right_counts[t][cls];
+                                std::size_t cls) {
+  const std::uint16_t* feature = stats.feature.data();
+  const float* threshold = stats.threshold.data();
+  std::uint32_t* right = stats.right[cls].data();
+  // `x > θ` is a coin flip on the tests worth having, so add the compare's
+  // result rather than branch on it.
+  for (std::size_t t = 0; t < stats.test_count(); ++t) {
+    right[t] += static_cast<std::uint32_t>(x[feature[t]] > threshold[t]);
   }
 }
 
@@ -121,17 +198,18 @@ void OnlineTree::update(std::span<const float> x, int y) {
   const std::size_t cls = y == 1 ? 1 : 0;
   ++stats.n[cls];
   if (!stats.tests_ready) {
-    stats.buffer.emplace_back(std::vector<float>(x.begin(), x.end()), y);
-    if (stats.buffer.size() >=
+    stats.buffer_x.insert(stats.buffer_x.end(), x.begin(), x.end());
+    stats.buffer_y.push_back(static_cast<std::uint8_t>(cls));
+    if (stats.buffer_y.size() >=
         static_cast<std::size_t>(params_.threshold_pool)) {
       create_tests(stats);
     }
   } else {
-    apply_to_tests(stats, x, y);
+    apply_to_tests(stats, x, cls);
   }
   const std::uint32_t total = stats.n[0] + stats.n[1];
   node.prob = static_cast<float>((stats.n[1] + 1.0) / (total + 2.0));
-  if (!stats.tests.empty() &&
+  if (stats.test_count() != 0 &&
       total >= static_cast<std::uint32_t>(params_.min_parent_size)) {
     try_split(leaf);
   }
@@ -139,42 +217,24 @@ void OnlineTree::update(std::span<const float> x, int y) {
 
 void OnlineTree::try_split(std::size_t leaf_index) {
   // NOTE: `nodes_` may reallocate in make_leaf; take copies before that.
-  LeafStats& stats = *nodes_[leaf_index].stats;
-  double best_gain = 0.0;
-  std::size_t best_test = 0;
-  for (std::size_t t = 0; t < stats.tests.size(); ++t) {
-    const double gain = gini_gain(stats.n[0], stats.n[1],
-                                  stats.right_counts[t][0],
-                                  stats.right_counts[t][1]);
-    if (gain > best_gain) {
-      best_gain = gain;
-      best_test = t;
-    }
-  }
-  double gain_bar = params_.min_gain;
-  if (params_.relative_gain) {
-    const auto gini = [](double c0, double c1) {
-      const double t = c0 + c1;
-      if (t <= 0.0) return 0.0;
-      const double p1 = c1 / t;
-      return 2.0 * p1 * (1.0 - p1);
-    };
-    gain_bar *= gini(stats.n[0], stats.n[1]);
-  }
-  if (best_gain <= 0.0 || best_gain < gain_bar) return;
+  const LeafStats& stats = *nodes_[leaf_index].stats;
+  const SplitDecision decision =
+      choose_split(stats.n[0], stats.n[1], stats.right[0], stats.right[1],
+                   params_.min_gain, params_.relative_gain);
+  if (!decision.split) return;
 
-  const RandomTest chosen = stats.tests[best_test];
-  const auto right = stats.right_counts[best_test];
-  const std::uint32_t l0 = stats.n[0] - right[0];
-  const std::uint32_t l1 = stats.n[1] - right[1];
-  // Degenerate partitions cannot reach min_gain > 0, but guard anyway.
-  if ((l0 + l1) == 0 || (right[0] + right[1]) == 0) return;
+  const std::size_t t = decision.test;
+  const std::uint16_t feature = stats.feature[t];
+  const float threshold = stats.threshold[t];
+  const std::uint32_t r0 = stats.right[0][t];
+  const std::uint32_t r1 = stats.right[1][t];
+  const std::uint32_t l0 = stats.n[0] - r0;
+  const std::uint32_t l1 = stats.n[1] - r1;
 
   const auto depth = nodes_[leaf_index].depth;
   const float left_prior =
       static_cast<float>((l1 + 1.0) / (l0 + l1 + 2.0));
-  const float right_prior =
-      static_cast<float>((right[1] + 1.0) / (right[0] + right[1] + 2.0));
+  const float right_prior = static_cast<float>((r1 + 1.0) / (r0 + r1 + 2.0));
 
   const std::int32_t left_child =
       make_leaf(static_cast<std::int16_t>(depth + 1), left_prior);
@@ -182,12 +242,12 @@ void OnlineTree::try_split(std::size_t leaf_index) {
       make_leaf(static_cast<std::int16_t>(depth + 1), right_prior);
 
   Node& node = nodes_[leaf_index];  // revalidate after reallocation
-  node.split_feature = chosen.feature;
-  node.split_threshold = chosen.threshold;
+  node.split_feature = feature;
+  node.split_threshold = threshold;
   node.left = left_child;
   node.right = right_child;
   node.stats.reset();
-  split_gain_[chosen.feature] += best_gain;
+  split_gain_[feature] += decision.gain;
   ++structure_epoch_;
 }
 

@@ -11,7 +11,6 @@
 // observed partition.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
@@ -52,14 +51,37 @@ struct OnlineTreeParams {
   double uniform_test_fraction = 0.25;
 };
 
-struct RandomTest {
-  std::uint16_t feature = 0;
-  float threshold = 0.0f;  ///< sample goes right when x[feature] > threshold
-
-  bool goes_right(std::span<const float> x) const {
-    return x[feature] > threshold;
-  }
+/// The outcome of one leaf's split decision: whether to split, on which
+/// candidate test, and that test's Gini gain (paper Eq. 2).
+struct SplitDecision {
+  bool split = false;
+  std::size_t test = 0;
+  double gain = 0.0;
 };
+
+/// The bar a split's gain must reach: β, or β·G(D) with `relative_gain`
+/// (see OnlineTreeParams::min_gain).
+double split_bar(std::uint32_t n0, std::uint32_t n1, double min_gain,
+                 bool relative_gain);
+
+/// The reference decision: a first-max scan of gini_gain over every test
+/// (right-side counts `right0[t]`, `right1[t]` of a leaf holding (n0, n1)),
+/// then the bar. A split needs gain > 0, gain ≥ `bar` and a non-empty child
+/// on each side; without one the result is a default SplitDecision.
+SplitDecision reference_split(std::uint32_t n0, std::uint32_t n1,
+                              std::span<const std::uint32_t> right0,
+                              std::span<const std::uint32_t> right1,
+                              double bar);
+
+/// The decision OnlineTree makes: always reference_split's result against
+/// split_bar (same split, test and gain bits), but cheap on the common
+/// leaves. A one-class leaf returns at once (every gain there is exactly
+/// 0); otherwise a division-free screen must find a test that may reach
+/// the bar before reference_split runs. See DESIGN.md, "The learn kernel".
+SplitDecision choose_split(std::uint32_t n0, std::uint32_t n1,
+                           std::span<const std::uint32_t> right0,
+                           std::span<const std::uint32_t> right1,
+                           double min_gain, bool relative_gain);
 
 class OnlineTree {
  public:
@@ -134,16 +156,26 @@ class OnlineTree {
  private:
   friend struct checkpoint::StreamOracle;
 
+  /// A leaf's statistics. The candidate tests "x[feature[t]] >
+  /// threshold[t]" are stored as parallel arrays, so counting one sample is
+  /// a straight-line compare-and-add over each array.
   struct LeafStats {
     std::uint32_t n[2] = {0, 0};  ///< class counts seen at this leaf
-    std::vector<RandomTest> tests;
-    /// Per test: class counts of samples with x[f] > θ ("right" side).
-    std::vector<std::array<std::uint32_t, 2>> right_counts;
+    std::vector<std::uint16_t> feature;
+    std::vector<float> threshold;
+    /// Per test and class: counts of samples with x[f] > θ ("right" side).
+    std::vector<std::uint32_t> right[2];
     /// First samples routed here, buffered until tests are created (the
     /// buffered samples are replayed into the test statistics, so counts
-    /// stay unbiased).
-    std::vector<std::pair<std::vector<float>, int>> buffer;
+    /// stay unbiased): row-major features and the class of each sample.
+    std::vector<float> buffer_x;
+    std::vector<std::uint8_t> buffer_y;
     bool tests_ready = false;
+
+    std::size_t test_count() const { return feature.size(); }
+    std::span<const float> buffered(std::size_t i, std::size_t f) const {
+      return {buffer_x.data() + i * f, f};
+    }
   };
 
   struct Node {
@@ -158,7 +190,8 @@ class OnlineTree {
 
   std::int32_t make_leaf(std::int16_t depth, float prior);
   void create_tests(LeafStats& stats);
-  void apply_to_tests(LeafStats& stats, std::span<const float> x, int y);
+  static void apply_to_tests(LeafStats& stats, std::span<const float> x,
+                             std::size_t cls);
   std::size_t route_to_leaf(std::span<const float> x) const;
   void try_split(std::size_t leaf_index);
 

@@ -112,22 +112,32 @@ class Rng {
     return std::exp(normal(mu, sigma));
   }
 
+  /// A Poisson rate with Knuth's limit exp(−λ) computed once, for callers
+  /// that draw at the same rate many times. Draws the same stream as
+  /// poisson(lambda).
+  struct PoissonRate {
+    explicit PoissonRate(double rate) : lambda(rate), limit(std::exp(-rate)) {}
+    double lambda;
+    double limit;
+  };
+
   /// Poisson-distributed count. Knuth's multiplication method for small
   /// lambda (the common case here: online-bagging rates are <= ~3); a
   /// normal approximation with continuity correction above 30.
-  unsigned poisson(double lambda) {
-    if (lambda <= 0.0) return 0;
-    if (lambda < 30.0) {
-      const double limit = std::exp(-lambda);
+  unsigned poisson(double lambda) { return poisson(PoissonRate(lambda)); }
+
+  unsigned poisson(const PoissonRate& rate) {
+    if (rate.lambda <= 0.0) return 0;
+    if (rate.lambda < 30.0) {
       unsigned k = 0;
       double prod = uniform();
-      while (prod > limit) {
+      while (prod > rate.limit) {
         ++k;
         prod *= uniform();
       }
       return k;
     }
-    const double v = normal(lambda, std::sqrt(lambda));
+    const double v = normal(rate.lambda, std::sqrt(rate.lambda));
     return v < 0.0 ? 0u : static_cast<unsigned>(v + 0.5);
   }
 

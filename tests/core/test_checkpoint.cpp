@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/online_forest.hpp"
@@ -98,6 +99,135 @@ TEST(Checkpoint, TreeParameterMismatchThrows) {
   other_params.n_tests = 99;
   core::OnlineTree other(1, other_params, util::Rng(3));
   EXPECT_THROW(other.restore(buffer), std::runtime_error);
+}
+
+// ---- restore rejects trees the kernels cannot run --------------------------
+
+/// A two-feature tree that has split and still holds leaves with tests, as
+/// checkpoint text split into lines.
+std::vector<std::string> trained_tree_lines() {
+  core::OnlineTree tree(2, tree_params(), util::Rng(3));
+  util::Rng rng(42);
+  for (int i = 0; i < 800; ++i) {
+    const float v = static_cast<float>(rng.uniform());
+    tree.update(std::vector<float>{v, 1.0f - v}, v > 0.5f ? 1 : 0);
+  }
+  EXPECT_GT(tree.node_count(), 1u);
+  std::string text;
+  tree.save(text);
+  std::vector<std::string> lines;
+  std::istringstream is(text);
+  for (std::string line; std::getline(is, line);) lines.push_back(line);
+  return lines;
+}
+
+std::vector<std::string> fields(const std::string& line) {
+  std::istringstream is(line);
+  std::vector<std::string> out;
+  for (std::string field; is >> field;) out.push_back(field);
+  return out;
+}
+
+void set_field(std::string& line, std::size_t index, const std::string& value) {
+  auto parts = fields(line);
+  parts.at(index) = value;
+  line.clear();
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    line += (i == 0 ? "" : " ") + parts[i];
+  }
+}
+
+std::string join(const std::vector<std::string>& lines) {
+  std::string text;
+  for (const auto& line : lines) text += line + "\n";
+  return text;
+}
+
+std::string restore_error(const std::vector<std::string>& lines) {
+  core::OnlineTree tree(2, tree_params(), util::Rng(1));
+  std::istringstream is(join(lines));
+  try {
+    tree.restore(is);
+  } catch (const std::runtime_error& error) {
+    return error.what();
+  }
+  return "";
+}
+
+// Line 4 is the root; a node line is "left right depth feature θ prob stats".
+constexpr std::size_t kRootLine = 4;
+
+TEST(CheckpointRestore, AcceptsTheUntouchedTree) {
+  EXPECT_EQ(restore_error(trained_tree_lines()), "");
+}
+
+TEST(CheckpointRestore, RejectsOutOfRangeChild) {
+  auto lines = trained_tree_lines();
+  set_field(lines[kRootLine], 1, "100000");
+  EXPECT_EQ(restore_error(lines).rfind("checkpoint: ", 0), 0u);
+}
+
+TEST(CheckpointRestore, RejectsSplitFeatureOutOfRange) {
+  auto lines = trained_tree_lines();
+  set_field(lines[kRootLine], 3, "2");  // F = 2
+  EXPECT_EQ(restore_error(lines).rfind("checkpoint: ", 0), 0u);
+}
+
+TEST(CheckpointRestore, RejectsSelfLoopedRoot) {
+  auto lines = trained_tree_lines();
+  set_field(lines[kRootLine], 0, "0");
+  set_field(lines[kRootLine], 1, "0");
+  EXPECT_EQ(restore_error(lines).rfind("checkpoint: ", 0), 0u);
+}
+
+TEST(CheckpointRestore, RejectsRightCountAboveClassCount) {
+  auto lines = trained_tree_lines();
+  // Find the first leaf with tests: its stats line is
+  // "n0 n1 ready tests buffered", then one "feature θ r0 r1" line per test.
+  for (std::size_t i = kRootLine; i + 2 < lines.size();) {
+    const auto node = fields(lines[i]);
+    if (node.at(6) == "0") {
+      ++i;
+      continue;
+    }
+    const auto stats = fields(lines[i + 1]);
+    const auto tests = std::stoul(stats.at(3));
+    if (tests > 0) {
+      set_field(lines[i + 2], 2, std::to_string(std::stoul(stats.at(0)) + 1));
+      EXPECT_EQ(restore_error(lines).rfind("checkpoint: ", 0), 0u);
+      return;
+    }
+    i += 2 + tests + std::stoul(stats.at(4));
+  }
+  FAIL() << "no leaf with tests in the trained tree";
+}
+
+TEST(CheckpointRestore, RejectsBadBufferLabelAndTestFeature) {
+  // A fresh root buffering samples: "left right depth feature θ prob 1",
+  // its stats line, then one "label x0 x1" line per buffered sample.
+  core::OnlineTree tree(2, tree_params(), util::Rng(3));
+  tree.update(std::vector<float>{0.25f, 0.75f}, 1);
+  std::string text;
+  tree.save(text);
+  std::vector<std::string> lines;
+  std::istringstream is(text);
+  for (std::string line; std::getline(is, line);) lines.push_back(line);
+  EXPECT_EQ(restore_error(lines), "");
+  auto bad_label = lines;
+  set_field(bad_label[kRootLine + 2], 0, "2");
+  EXPECT_EQ(restore_error(bad_label).rfind("checkpoint: ", 0), 0u);
+
+  auto trained = trained_tree_lines();
+  for (std::size_t i = kRootLine; i + 2 < trained.size(); ++i) {
+    const auto node = fields(trained[i]);
+    if (node.size() == 7 && node[6] == "1" &&
+        fields(trained[i + 1]).at(3) != "0") {
+      set_field(trained[i + 2], 0, "65538");  // wraps to 2 as a uint16
+      EXPECT_EQ(restore_error(trained).rfind("checkpoint: ", 0), 0u);
+      return;
+    }
+  }
+  FAIL() << "no leaf with tests in the trained tree";
 }
 
 TEST(Checkpoint, ForestRoundTripAndResume) {

@@ -53,17 +53,16 @@ std::string StreamOracle::tree(const OnlineTree& tree) {
     if (!node.stats) continue;
     const auto& stats = *node.stats;
     os << stats.n[0] << ' ' << stats.n[1] << ' '
-       << (stats.tests_ready ? 1 : 0) << ' ' << stats.tests.size() << ' '
-       << stats.buffer.size() << '\n';
-    for (std::size_t t = 0; t < stats.tests.size(); ++t) {
-      os << stats.tests[t].feature << ' ';
-      put_float(os, stats.tests[t].threshold);
-      os << ' ' << stats.right_counts[t][0] << ' ' << stats.right_counts[t][1]
-         << '\n';
+       << (stats.tests_ready ? 1 : 0) << ' ' << stats.test_count() << ' '
+       << stats.buffer_y.size() << '\n';
+    for (std::size_t t = 0; t < stats.test_count(); ++t) {
+      os << stats.feature[t] << ' ';
+      put_float(os, stats.threshold[t]);
+      os << ' ' << stats.right[0][t] << ' ' << stats.right[1][t] << '\n';
     }
-    for (const auto& [x, y] : stats.buffer) {
-      os << y;
-      for (float v : x) {
+    for (std::size_t b = 0; b < stats.buffer_y.size(); ++b) {
+      os << int{stats.buffer_y[b]};
+      for (float v : stats.buffered(b, tree.feature_count_)) {
         os << ' ';
         put_float(os, v);
       }

@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "core/online_forest.hpp"
-#include "core/online_predictor.hpp"
+#include "engine/fleet_engine.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -163,7 +163,7 @@ void BM_OnlinePredictorObserve(benchmark::State& state) {
   const auto stream = make_stream(20000, 0.01, labels);
   engine::EngineParams params;
   params.forest = params_with_tests(256);
-  core::OnlineDiskPredictor predictor(kFeatures, params, 7);
+  engine::FleetEngine predictor(kFeatures, params, 7);
   std::size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(

@@ -1,25 +1,25 @@
-// Serving benchmark: the reactor vs the blocking thread-per-connection
-// server, measured end-to-end through real sockets against one shared
-// orf::Service (same forest, so any throughput difference is the serving
-// model's). A single-threaded epoll load generator drives N keep-alive
-// connections in a closed loop — each holds one POST /v1/score in flight —
-// for a fixed duration, then reports req/s and latency percentiles per
-// mode to stderr and machine-readably to BENCH_serve.json (one JSONL line
-// per mode, the service registry snapshot plus bench_* extras;
-// bench_serve_reactor tells the two lines apart for
-// scripts/bench_compare.py, which gates reactor rps >= blocking rps).
+// Serving benchmark: the reactor measured end-to-end through real sockets
+// against one orf::Service, beside the same score request run in process
+// through serve::Api::handle (no socket, no batcher), one closed loop per
+// usable CPU. A single-threaded epoll load generator drives N keep-alive
+// connections in a closed loop — each holds one POST /v1/score in flight.
+// The two measurements alternate in kRounds slices that add up to
+// --duration-s each, so drift in the host's speed lands on both rates
+// alike. Results go to stdout and machine-readably to BENCH_serve.json (one
+// JSONL line: the service registry snapshot plus bench_* extras), which
+// scripts/bench_compare.py gates as reactor rps >= R x in-process rps.
 //
 //   micro_serve [--duration-s 2] [--connections 64] [--rows 8]
-//               [--mode both|reactor|blocking] [--workers 0]
-//               [--bench-json BENCH_serve.json]
+//               [--workers 0] [--bench-json BENCH_serve.json]
 //
-// --attach HOST:PORT skips the in-process servers and drives an external
+// --attach HOST:PORT skips the in-process server and drives an external
 // orfd instead (scripts/serve_smoke.sh uses this for the ≥1k-connection
 // soak, reconciling the printed client totals against /metrics); --pipeline
 // D keeps D requests in flight per connection.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <sched.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -33,6 +33,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/export.hpp"
@@ -41,11 +42,11 @@
 #include "serve/dispatch.hpp"
 #include "serve/handlers.hpp"
 #include "serve/reactor.hpp"
-#include "serve/server.hpp"
 
 namespace {
 
 constexpr std::size_t kFeatures = 19;  // the paper's Table 2 SMART set
+constexpr int kRounds = 4;             // alternating measurement slices
 
 std::string score_wire(std::size_t rows) {
   std::string body = "{\"rows\":[";
@@ -81,6 +82,14 @@ struct LoadStats {
     const auto rank = static_cast<std::size_t>(
         q * static_cast<double>(sorted.size() - 1));
     return sorted[rank];
+  }
+  void merge(const LoadStats& slice) {
+    requests += slice.requests;
+    errors += slice.errors;
+    connected = std::max(connected, slice.connected);
+    wall_seconds += slice.wall_seconds;
+    latencies_ms.insert(latencies_ms.end(), slice.latencies_ms.begin(),
+                        slice.latencies_ms.end());
   }
 };
 
@@ -340,15 +349,55 @@ struct Options {
   std::size_t rows = 8;
   std::size_t depth = 1;
   std::size_t workers = 0;
-  std::string mode = "both";
   std::string bench_json = "BENCH_serve.json";
   std::string attach;  ///< "HOST:PORT" — drive an external orfd
 };
 
-LoadStats run_against(int port, const Options& options) {
-  LoadGen generator("127.0.0.1", port, options.connections, options.depth,
-                    score_wire(options.rows), options.duration_s);
-  return generator.run();
+/// CPUs this process may run on (its affinity mask, so taskset counts).
+std::size_t usable_cpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (::sched_getaffinity(0, sizeof set, &set) != 0) return 1;
+  return static_cast<std::size_t>(std::max(1, CPU_COUNT(&set)));
+}
+
+/// Closed loops on `threads` threads, each sending `request` through
+/// Api::handle until `duration_s` has passed. Spread over every usable CPU
+/// like the reactor and its load generator, the rate moves with the host's
+/// parallelism the way the served rate does.
+LoadStats run_in_process(serve::Api& api, const serve::Request& request,
+                         double duration_s, std::size_t threads) {
+  const auto start = std::chrono::steady_clock::now();
+  const auto deadline =
+      start + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+                  std::chrono::duration<double>(duration_s));
+  std::vector<LoadStats> per_thread(threads);
+  std::vector<std::thread> loops;
+  for (LoadStats& stats : per_thread) {
+    loops.emplace_back([&api, &request, &stats, deadline] {
+      auto now = std::chrono::steady_clock::now();
+      while (now < deadline) {
+        const serve::Response response = api.handle(request);
+        const auto done = std::chrono::steady_clock::now();
+        if (response.status == 200) {
+          ++stats.requests;
+          stats.latencies_ms.push_back(
+              std::chrono::duration<double, std::milli>(done - now).count());
+        } else {
+          ++stats.errors;
+        }
+        now = done;
+      }
+    });
+  }
+  for (std::thread& loop : loops) loop.join();
+  LoadStats total;
+  for (const LoadStats& stats : per_thread) total.merge(stats);
+  total.connected = threads;
+  total.wall_seconds = std::chrono::duration<double>(
+                           std::chrono::steady_clock::now() - start)
+                           .count();
+  return total;
 }
 
 }  // namespace
@@ -356,13 +405,12 @@ LoadStats run_against(int port, const Options& options) {
 int main(int argc, char** argv) {
   const util::Flags flags(argc, argv);
   static constexpr util::FlagSpec kSpecs[] = {
-      {"duration-s", "SEC", "measurement window per mode"},
+      {"duration-s", "SEC", "measurement window per path"},
       {"connections", "N", "concurrent keep-alive connections"},
       {"rows", "N", "rows per /v1/score request"},
       {"pipeline", "D", "requests in flight per connection"},
       {"workers", "N", "reactor event-loop threads (0 = auto)"},
-      {"mode", "M", "both | reactor | blocking"},
-      {"bench-json", "PATH", "JSONL output (one line per mode)"},
+      {"bench-json", "PATH", "JSONL output"},
       {"attach", "HOST:PORT", "drive an external orfd instead"},
   };
   try {
@@ -379,7 +427,6 @@ int main(int argc, char** argv) {
         flags.get_int("pipeline", static_cast<std::int64_t>(options.depth)));
     options.workers = static_cast<std::size_t>(
         flags.get_int("workers", static_cast<std::int64_t>(options.workers)));
-    options.mode = flags.get("mode", options.mode);
     options.bench_json = flags.get("bench-json", options.bench_json);
     options.attach = flags.get("attach", options.attach);
 
@@ -398,45 +445,42 @@ int main(int argc, char** argv) {
       return stats.connected == 0 ? 1 : 0;
     }
 
-    // One service behind both serving models: identical forest, identical
-    // scores, so the comparison isolates the serving path. The blocking
-    // server gets one thread per offered connection — its serving model at
-    // this concurrency — while the reactor multiplexes the same load over
-    // a handful of event loops.
     orf::Config config;
     config.serve.port = 0;
     config.serve.workers = options.workers;
-    config.serve.threads = options.connections;
     config.serve.max_in_flight =
         std::max<std::size_t>(config.serve.max_in_flight,
                               2 * options.connections);
     orf::Service service(kFeatures, config);
     serve::Api api(service);
 
-    LoadStats blocking_stats;
-    LoadStats reactor_stats;
+    const std::string wire = score_wire(options.rows);
+    serve::RequestParser parser;
+    if (parser.feed(wire) != serve::RequestParser::State::kComplete) {
+      std::fprintf(stderr, "micro_serve: score request does not parse\n");
+      return 1;
+    }
+    const serve::Request request = parser.take();
 
-    if (options.mode == "both" || options.mode == "blocking") {
-      serve::HttpServer server(
-          config.serve,
-          [&api](const serve::Request& r) { return api.handle(r); }, nullptr);
-      server.start();
-      blocking_stats = run_against(server.port(), options);
-      server.stop();
-      report("blocking", blocking_stats);
+    serve::ScoreBatcher batcher(api, config.serve);
+    batcher.start();
+    serve::ReactorServer server(config.serve, serve::Dispatcher(api, batcher),
+                                &service.metrics_registry());
+    server.set_drain_hook([&batcher] { batcher.stop(); });
+    server.start();
+    const double slice_s = options.duration_s / kRounds;
+    const std::size_t cpus = usable_cpus();
+    LoadStats inprocess_stats;
+    LoadStats reactor_stats;
+    for (int round = 0; round < kRounds; ++round) {
+      inprocess_stats.merge(run_in_process(api, request, slice_s, cpus));
+      LoadGen generator("127.0.0.1", server.port(), options.connections,
+                        options.depth, wire, slice_s);
+      reactor_stats.merge(generator.run());
     }
-    if (options.mode == "both" || options.mode == "reactor") {
-      serve::ScoreBatcher batcher(api, config.serve);
-      batcher.start();
-      serve::ReactorServer server(config.serve,
-                                  serve::Dispatcher(api, &batcher),
-                                  &service.metrics_registry());
-      server.set_drain_hook([&batcher] { batcher.stop(); });
-      server.start();
-      reactor_stats = run_against(server.port(), options);
-      server.stop();
-      report("reactor", reactor_stats);
-    }
+    server.stop();
+    report("inprocess", inprocess_stats);
+    report("reactor", reactor_stats);
 
     std::ofstream os(options.bench_json, std::ios::trunc);
     if (!os) {
@@ -444,29 +488,26 @@ int main(int argc, char** argv) {
                    options.bench_json.c_str());
       return 1;
     }
-    const auto extras = [&](const LoadStats& stats, bool reactor) {
-      return obs::JsonExtras{
-          {"bench_serve_reactor", reactor ? 1.0 : 0.0},
-          {"bench_connections", static_cast<double>(stats.connected)},
-          {"bench_rows", static_cast<double>(options.rows)},
-          {"bench_duration_seconds", stats.wall_seconds},
-          {"bench_requests", static_cast<double>(stats.requests)},
-          {"bench_errors", static_cast<double>(stats.errors)},
-          {"bench_rps", stats.rps()},
-          {"bench_p50_ms", stats.percentile_ms(0.50)},
-          {"bench_p99_ms", stats.percentile_ms(0.99)},
-      };
-    };
-    if (options.mode == "both" || options.mode == "blocking") {
-      os << obs::to_json(service.metrics_registry().snapshot(),
-                         extras(blocking_stats, false))
-         << '\n';
-    }
-    if (options.mode == "both" || options.mode == "reactor") {
-      os << obs::to_json(service.metrics_registry().snapshot(),
-                         extras(reactor_stats, true))
-         << '\n';
-    }
+    os << obs::to_json(
+              service.metrics_registry().snapshot(),
+              obs::JsonExtras{
+                  {"bench_connections",
+                   static_cast<double>(reactor_stats.connected)},
+                  {"bench_rows", static_cast<double>(options.rows)},
+                  {"bench_duration_seconds", reactor_stats.wall_seconds},
+                  {"bench_requests",
+                   static_cast<double>(reactor_stats.requests)},
+                  {"bench_errors", static_cast<double>(reactor_stats.errors)},
+                  {"bench_rps", reactor_stats.rps()},
+                  {"bench_p50_ms", reactor_stats.percentile_ms(0.50)},
+                  {"bench_p99_ms", reactor_stats.percentile_ms(0.99)},
+                  {"bench_inprocess_requests",
+                   static_cast<double>(inprocess_stats.requests)},
+                  {"bench_inprocess_errors",
+                   static_cast<double>(inprocess_stats.errors)},
+                  {"bench_inprocess_rps", inprocess_stats.rps()},
+              })
+       << '\n';
     std::fprintf(stderr, "serve bench written to %s\n",
                  options.bench_json.c_str());
     return 0;

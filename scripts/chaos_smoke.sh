@@ -39,8 +39,7 @@ ORFD="$BUILD/src/serve/orfd"
 # --wal-sync always: every ack is an fsynced record, the strictest contract
 # to hold under kill -9. checkpoint-every 4 keeps rotation (and its
 # failpoint sites) in play mid-schedule.
-COMMON=(--trees 8 --port 0 --serve-threads 2 --checkpoint-every 4
-        --wal-sync always)
+COMMON=(--trees 8 --port 0 --checkpoint-every 4 --wal-sync always)
 
 # One JSON day-batch per line; line i is always day i, so whichever process
 # incarnation ingests a day, it ingests identical bytes.

@@ -2,17 +2,15 @@
 # End-to-end smoke of the serving layer (DESIGN.md §11, §13): build orfd,
 # feed it a datagen fleet over HTTP, scrape /metrics, then prove the
 # lifecycle contract — SIGTERM drains to a final checkpoint and --resume
-# restores it bit-identically to a run that was never interrupted. Run B
-# uses --serve-mode blocking, so the byte-equal final checkpoints also prove
-# the serving model never leaks into model state. Then a concurrency soak:
-# ~1k simultaneous keep-alive connections driving pipelined /v1/score
-# through the reactor, once per model backend, reconciling the server's
-# connection/request counters against the load generator's client-side
-# totals and requiring the micro-batches to average >= 256 rows. Also checks
-# the admission-control 429 path. Leaves the last /metrics exposition at
-# $SERVE_SMOKE_METRICS (default $BUILD_DIR/serve_metrics.prom, so the
-# artifact lands under the build tree, not the repo root) for CI to
-# archive.
+# restores it bit-identically to a run that was never interrupted (run B).
+# Then a concurrency soak: ~1k simultaneous keep-alive connections driving
+# pipelined /v1/score through the reactor, once per model backend,
+# reconciling the server's connection/request counters against the load
+# generator's client-side totals and requiring the micro-batches to average
+# >= 256 rows. Also checks the admission-control 429 path. Leaves the last
+# /metrics exposition at $SERVE_SMOKE_METRICS (default
+# $BUILD_DIR/serve_metrics.prom, so the artifact lands under the build
+# tree, not the repo root) for CI to archive.
 #
 # Knobs: SERVE_SMOKE_SOAK_CONNS (default 1000) and
 # SERVE_SMOKE_BATCH_AVG_MIN (default 256) scale the soak for slower boxes.
@@ -37,7 +35,7 @@ trap cleanup EXIT
 DAYS=10
 STOP_AFTER=6
 ORFD="$BUILD/src/serve/orfd"
-COMMON=(--trees 10 --port 0 --serve-threads 2 --checkpoint-every 4)
+COMMON=(--trees 10 --port 0 --checkpoint-every 4)
 
 # One JSON day-batch per line, the exact bodies /v1/ingest accepts.
 ./"$BUILD"/examples/fleet_to_json --mode ingest --scale 0.002 \
@@ -107,16 +105,13 @@ grep -q "resumed from .* at day $STOP_AFTER" "$WORK/a2.log"
 ingest_days "$STOP_AFTER" "$DAYS"
 stop_daemon
 
-echo "== run B: all $DAYS days uninterrupted, --serve-mode blocking =="
-start_daemon "$WORK/b.log" --checkpoint-dir "$WORK/b" --serve-mode blocking
-grep -q 'blocking server on' "$WORK/b.log"
+echo "== run B: all $DAYS days uninterrupted =="
+start_daemon "$WORK/b.log" --checkpoint-dir "$WORK/b"
 ingest_days 0 "$DAYS"
 stop_daemon
 
 # The checkpoint envelope is a pure function of the serialized state, so
-# byte-equal final snapshots prove the resumed daemon ended bit-identical —
-# and, since run B served through the blocking model, that the serving mode
-# never leaks into model state.
+# byte-equal final snapshots prove the resumed daemon ended bit-identical.
 LATEST_A=$(ls "$WORK"/a/orf-service-*.ckpt | sort -V | tail -1)
 LATEST_B=$(ls "$WORK"/b/orf-service-*.ckpt | sort -V | tail -1)
 cmp "$LATEST_A" "$LATEST_B" ||

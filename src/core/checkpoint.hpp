@@ -1,6 +1,6 @@
 // Checkpoint format helpers for the online learners.
 //
-// OnlineTree/OnlineForest/OnlineDiskPredictor expose member save()/restore()
+// OnlineTree/OnlineForest/FleetEngine expose member save()/restore()
 // (declared on the classes, implemented in checkpoint.cpp) that serialise
 // the *complete* learning state — structure, statistics, sample buffers,
 // OOBE/age bookkeeping, drift monitors, scaler ranges, per-disk label

@@ -12,16 +12,16 @@
 // observability counters are runtime-only and deliberately absent (see
 // engine/counters.hpp).
 //
-// Header versioning: "fleet-engine-state v1" is followed by an optional
-// "backend=<name>" line. Checkpoints from before the ModelBackend seam have
-// no such line and restore as the "orf" backend (the only model that
-// existed); restoring into an engine running a different backend throws.
+// Header versioning: "fleet-engine-state v1" is followed by a
+// "backend=<name>" line; restoring into an engine running a different
+// backend throws, and a header without the line (written before the
+// ModelBackend seam) is a CorruptCheckpoint.
 
 // File checkpoints are crash-safe: save_file() frames the payload in the
 // CRC32 envelope and writes it via temp-file + fsync + atomic rename (see
 // robust/checkpoint_io.hpp), so a process killed mid-save leaves the
-// previous checkpoint intact. restore_file() auto-detects envelope vs.
-// legacy unframed files, so checkpoints from before this scheme still load.
+// previous checkpoint intact. restore_file() reads only framed files, so
+// every restored byte has passed the CRC check.
 
 #include <algorithm>
 #include <istream>
@@ -97,26 +97,18 @@ void FleetEngine::restore(std::istream& is) {
   if (!std::getline(is, line) || line != "fleet-engine-state v1") {
     throw std::runtime_error("checkpoint: not a fleet-engine-state v1");
   }
-  // Next token: "backend=<name>" on seam-era checkpoints, the numeric
-  // feature count on legacy ones (which could only hold an ORF).
   std::string token;
   if (!(is >> token)) {
     throw std::runtime_error("checkpoint: truncated engine header");
   }
-  std::string backend = "orf";
-  std::uint64_t features = 0;
   constexpr std::string_view kBackendKey = "backend=";
-  if (token.compare(0, kBackendKey.size(), kBackendKey) == 0) {
-    backend = token.substr(kBackendKey.size());
-    features = cp::get_u64(is, "engine feature count");
-  } else {
-    try {
-      features = std::stoull(token);
-    } catch (const std::exception&) {
-      throw std::runtime_error(
-          "checkpoint: bad engine header token '" + token + "'");
-    }
+  if (token.compare(0, kBackendKey.size(), kBackendKey) != 0) {
+    throw robust::CorruptCheckpoint(
+        "checkpoint: engine header has no backend= line (got '" + token +
+        "')");
   }
+  const std::string backend = token.substr(kBackendKey.size());
+  const auto features = cp::get_u64(is, "engine feature count");
   if (backend != backend_->name()) {
     throw std::runtime_error(
         "checkpoint: written by the '" + backend +
@@ -162,7 +154,7 @@ void FleetEngine::save_file(const std::string& path) const {
 }
 
 void FleetEngine::restore_file(const std::string& path) {
-  std::istringstream is(robust::load_checkpoint_payload(path));
+  std::istringstream is(robust::read_envelope_file(path));
   restore(is);
 }
 

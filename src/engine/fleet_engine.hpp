@@ -1,11 +1,12 @@
 // Sharded, stage-based streaming engine for the paper's deployment loop.
 //
-// FleetEngine is the one place Algorithm 2 runs: every former streaming
-// driver (OnlineDiskPredictor, OrfReplay, eval::stream_fleet) is now a thin
-// adapter over it. It owns the shared model (a ModelBackend chosen by name —
-// the paper's ORF by default; see engine/model_backend.hpp) and
-// OnlineMinMaxScaler and N shards of per-disk LabelQueues (disk → shard by a
-// fixed hash), and processes a calendar day as three stages:
+// FleetEngine is the one place Algorithm 2 runs: callers use its day-batch
+// and single-disk verbs (observe / disk_failed / disk_retired) directly,
+// and OrfReplay and eval::stream_fleet drive it. It owns the shared model
+// (a ModelBackend chosen by name — the paper's ORF by default; see
+// engine/model_backend.hpp) and OnlineMinMaxScaler and N shards of per-disk
+// LabelQueues (disk → shard by a fixed hash), and processes a calendar day
+// as three stages:
 //
 //   1. scale  — sequential: extend the running min/max with every report.
 //      A running range is commutative, so the result is order-independent.

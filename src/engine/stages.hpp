@@ -11,8 +11,8 @@
 //
 // — and the two interfaces here are the seams between the engine and its
 // callers. A `SampleSink` accepts day-batches of unlabeled fleet reports
-// (the production front door: FleetEngine implements it, stream_fleet and
-// OnlineDiskPredictor drive it). A `LearnSource` yields already-labeled,
+// (the production front door: FleetEngine implements it, stream_fleet
+// drives it). A `LearnSource` yields already-labeled,
 // time-ordered samples and bypasses the label stage (the simulation path of
 // §4.4: OrfReplay wraps one around an offline-labeled sequence and the
 // engine consumes it).

@@ -115,7 +115,7 @@ void save_forest_file(const RandomForest& forest, const std::string& path) {
 }
 
 RandomForest load_forest_file(const std::string& path) {
-  std::istringstream is(robust::load_checkpoint_payload(path));
+  std::istringstream is(robust::read_envelope_file(path));
   return load_forest(is);
 }
 

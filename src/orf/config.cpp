@@ -106,9 +106,6 @@ constexpr std::array kFlagSpecs = {
                    "history retention window (0 = keep everything)"},
     util::FlagSpec{"bind", "ADDR", "daemon bind address"},
     util::FlagSpec{"port", "N", "daemon TCP port (0 = ephemeral)"},
-    util::FlagSpec{"serve-mode", "reactor|blocking", "daemon serving model"},
-    util::FlagSpec{"serve-threads", "N",
-                   "daemon worker threads (blocking mode)"},
     util::FlagSpec{"serve-workers", "N",
                    "reactor event-loop threads (0 = auto)"},
     util::FlagSpec{"idle-timeout-ms", "MS",
@@ -177,10 +174,6 @@ void Config::validate() const {
   if (serve.port < 0 || serve.port > 65535) {
     fail("serve.port must lie in [0, 65535]");
   }
-  if (serve.mode != "reactor" && serve.mode != "blocking") {
-    fail("serve.mode must be reactor|blocking, got '" + serve.mode + "'");
-  }
-  if (serve.threads == 0) fail("serve.threads must be >= 1");
   if (serve.idle_timeout_ms <= 0) {
     fail("serve.idle_timeout_ms must be positive");
   }
@@ -387,9 +380,6 @@ Config Config::from_flags(const util::Flags& flags) {
   config.serve.bind_address = source.get("bind", config.serve.bind_address);
   config.serve.port =
       static_cast<int>(source.get_int("port", config.serve.port));
-  config.serve.mode = source.get("serve-mode", config.serve.mode);
-  config.serve.threads = static_cast<std::size_t>(source.get_int(
-      "serve-threads", static_cast<std::int64_t>(config.serve.threads)));
   config.serve.workers = static_cast<std::size_t>(source.get_int(
       "serve-workers", static_cast<std::int64_t>(config.serve.workers)));
   config.serve.idle_timeout_ms = static_cast<long>(

@@ -111,17 +111,11 @@ struct TsdbSection {
   data::Day retain_days = 0;
 };
 
-/// HTTP daemon section (see serve::ReactorServer / serve::HttpServer / orfd).
+/// HTTP daemon section (see serve::ReactorServer / orfd).
 struct ServeSection {
   std::string bind_address = "127.0.0.1";
   /// TCP port; 0 = ephemeral (the bound port is reported after start).
   int port = 8080;
-  /// Serving model: "reactor" (epoll event loops + /v1/score micro-batching,
-  /// the default) or "blocking" (thread-per-connection pool — kept as the
-  /// baseline bench/micro_serve measures the reactor against).
-  std::string mode = "reactor";
-  /// Worker threads serving connections (blocking mode only).
-  std::size_t threads = 4;
   /// Reactor event-loop threads (0 = auto: hardware concurrency clamped to
   /// [1, 8]). Each worker owns its connections exclusively.
   std::size_t workers = 0;
@@ -129,10 +123,10 @@ struct ServeSection {
   /// connection — or a stalled client that stops reading mid-response — is
   /// closed after this long without socket progress.
   long idle_timeout_ms = 60000;
-  /// Admission bound: connections queued-or-in-service above this are
-  /// answered 429 + Retry-After without touching a worker. The reactor
+  /// Admission bound: a connection accepted while this many are open is
+  /// answered 429 + Retry-After without parsing a byte. The reactor
   /// multiplexes its connections over fixed event loops, so the default
-  /// admits a full keep-alive fleet slice rather than a thread pool's worth.
+  /// admits a full keep-alive fleet slice.
   std::size_t max_in_flight = 4096;
   /// Largest accepted request body; beyond it the request is 413'd.
   std::size_t max_body_bytes = 8u << 20;
@@ -189,7 +183,7 @@ struct Config {
 
   /// Reject inconsistent combinations (throws ConfigError): non-positive
   /// trees/queue capacity, thresholds outside [0, 1], resume without a
-  /// checkpoint directory, out-of-range port, zero serve workers.
+  /// checkpoint directory, out-of-range port.
   void validate() const;
 
   /// The engine-layer parameter block this config describes.

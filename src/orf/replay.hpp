@@ -1,10 +1,9 @@
 // orf::ReplaySpec — the one options struct every history consumer speaks.
 //
 // PR 9's store made history replayable; this seam makes it *consumable*.
-// The old positional Service::replay_range(reader, from, to) could only
-// re-run exactly what was recorded — no knob retuning, no label
-// correction, no progress, no mid-replay durability. ReplaySpec carries
-// all of that declaratively:
+// A bare (reader, from, to) window could only re-run exactly what was
+// recorded — no knob retuning, no label correction, no progress, no
+// mid-replay durability. ReplaySpec carries all of that declaratively:
 //
 //   store / reader    — where the history lives: a directory the replay
 //                       opens itself, an already-open tsdb::Reader, or

@@ -13,7 +13,6 @@ namespace orf {
 namespace {
 
 constexpr std::string_view kStateHeader = "orf-service v1";
-constexpr std::string_view kLegacyHeader = "fleet-monitor v1";
 
 /// WAL probe records (degraded-mode recovery checks) — not ingest data.
 constexpr std::string_view kWalProbe = "probe";
@@ -376,16 +375,6 @@ Service::ReplayStats Service::backfill_from_history(const ReplaySpec& spec) {
   return replay_locked(spec, ReplayFrom::kFloor);
 }
 
-Service::ReplayStats Service::replay_range(tsdb::Reader& reader,
-                                           data::Day from_day,
-                                           data::Day to_day) {
-  ReplaySpec spec;
-  spec.reader = &reader;
-  spec.from_day = from_day;
-  spec.to_day = to_day;
-  return replay(spec);
-}
-
 void Service::reset_engine_locked() {
   // FleetEngine has no copy/move; the save/restore round-trip is the
   // canonical way to replace its state (restore re-shards internally).
@@ -589,7 +578,7 @@ void Service::restore_payload(const std::string& payload) {
   std::istringstream is(payload);
   std::string header;
   std::getline(is, header);
-  if (header != kStateHeader && header != kLegacyHeader) {
+  if (header != kStateHeader) {
     throw std::runtime_error(
         "Service::restore: unrecognised snapshot header '" + header + "'");
   }

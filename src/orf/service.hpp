@@ -17,8 +17,8 @@
 // Checkpoints serialise as "orf-service v1\n<next_day>\n" + engine state
 // through the CRC-framed atomic envelope, so a SIGTERM-drain → final
 // checkpoint → --resume restart is bit-identical to an uninterrupted run
-// (the daemon e2e test byte-compares the snapshots). Legacy
-// "fleet-monitor v1" snapshots restore too.
+// (the daemon e2e test byte-compares the snapshots). Any other header is
+// rejected.
 //
 // Durability (PR 8): with a checkpoint directory configured, every ingest()
 // batch is appended to a robust::IngestWal *before* it touches the engine,
@@ -135,7 +135,7 @@ class Service {
   std::string checkpoint_now();
 
   /// Serialize / replace the full service state ("orf-service v1" header +
-  /// engine). restore() accepts legacy "fleet-monitor v1" snapshots.
+  /// engine). restore() rejects any other header.
   void save(std::ostream& os) const;
   void restore(std::istream& is);
 
@@ -236,11 +236,6 @@ class Service {
   /// an attached tee skips everything the store already holds). The
   /// resulting state is bit-identical to a live-trained service.
   ReplayStats backfill_from_history(const ReplaySpec& spec);
-
-  /// The pre-ReplaySpec positional form, kept as a shim for one PR.
-  [[deprecated("migrate to replay(ReplaySpec) — the shim goes away next PR")]]
-  ReplayStats replay_range(tsdb::Reader& reader, data::Day from_day,
-                           data::Day to_day);
 
  private:
   /// Window resolution mode for replay_locked: what an unset spec.from_day

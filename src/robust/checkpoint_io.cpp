@@ -241,16 +241,6 @@ std::string slurp(const std::string& path) {
 
 }  // namespace
 
-std::string load_checkpoint_payload(const std::string& path) {
-  std::string bytes = slurp(path);
-  if (!looks_like_envelope(bytes)) return bytes;  // legacy unframed file
-  try {
-    return parse_envelope(bytes);
-  } catch (const CorruptCheckpoint& e) {
-    throw CorruptCheckpoint(std::string(e.what()) + " (" + path + ")");
-  }
-}
-
 std::string read_envelope_file(const std::string& path) {
   try {
     return parse_envelope(slurp(path));

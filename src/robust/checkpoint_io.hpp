@@ -41,8 +41,7 @@ std::string make_envelope(std::string_view payload);
 /// trailing bytes, or CRC mismatch.
 std::string parse_envelope(std::string_view envelope);
 
-/// True when `bytes` begins with the envelope magic (used to auto-detect
-/// legacy, unframed checkpoint files).
+/// True when `bytes` begins with the envelope magic.
 bool looks_like_envelope(std::string_view bytes);
 
 /// Atomically (re)place the envelope-framed `payload` at `path`:
@@ -61,17 +60,11 @@ void write_parts(int fd, std::span<const std::string_view> parts,
                  const std::string& what,
                  std::size_t limit = static_cast<std::size_t>(-1));
 
-/// Read `path` and return its payload. Envelope files are validated
-/// (CorruptCheckpoint on damage); anything else is returned verbatim, so
-/// legacy unframed checkpoints keep loading. Throws std::runtime_error when
-/// the file cannot be opened.
-std::string load_checkpoint_payload(const std::string& path);
-
-/// Like load_checkpoint_payload but with no legacy fallback: a file that is
-/// not a valid envelope — including one truncated so short that the magic
-/// itself is gone — is CorruptCheckpoint. RecoveryManager uses this; its
-/// files are always framed, so "doesn't even look like an envelope" must
-/// count as damage, not as a legacy format.
+/// Read `path` and return its validated payload. A file that is not a
+/// valid envelope — unframed bytes, or one truncated so short that the
+/// magic itself is gone — is CorruptCheckpoint: every checkpoint this
+/// codebase writes is framed, so nothing loads without its CRC check.
+/// Throws std::runtime_error when the file cannot be opened.
 std::string read_envelope_file(const std::string& path);
 
 /// The writer's failpoint sites, in execution order — the recovery suite

@@ -66,8 +66,8 @@ void ScoreBatcher::submit(std::vector<float> xs, std::size_t rows,
     }
   }
   if (!queued) {
-    // Stopped (drain raced the submit, or blocking mode without a flusher):
-    // score this request alone, preserving the response contract.
+    // Stopped (drain raced the submit, or no flusher was started): score
+    // this request alone, preserving the response contract.
     std::vector<Pending> batch;
     batch.push_back(std::move(pending));
     flush(std::move(batch), *flush_drain_);

@@ -3,11 +3,10 @@
 //
 // A Connection is owned by exactly one reactor worker and every method runs
 // on that worker's thread — no locking here; cross-thread completions reach
-// it through the worker's inbox (see reactor.hpp). It wraps the same
-// incremental RequestParser the blocking server uses (torn reads at any
-// byte, pipelining, protocol errors latching with a status), and adds the
-// two things an event loop needs that a thread-per-connection server gets
-// for free:
+// it through the worker's inbox (see reactor.hpp). It wraps the
+// incremental RequestParser (torn reads at any byte, pipelining, protocol
+// errors latching with a status), and adds the two things an event loop
+// needs that a thread-per-connection server gets for free:
 //
 //   Response ordering. Each parsed request claims the next response *slot*
 //   (a per-connection sequence number) before being dispatched. Responses

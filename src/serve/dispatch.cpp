@@ -22,8 +22,7 @@ void Dispatcher::operator()(const Request& request, Completion done) {
       overload->end_request();
     };
   }
-  if (batcher_ != nullptr && request.method == "POST" &&
-      route == "/v1/score") {
+  if (request.method == "POST" && route == "/v1/score") {
     const auto started = std::chrono::steady_clock::now();
     std::vector<float> xs;
     Response error;
@@ -36,7 +35,7 @@ void Dispatcher::operator()(const Request& request, Completion done) {
       return;
     }
     const std::size_t rows = xs.size() / api_.service().feature_count();
-    batcher_->submit(std::move(xs), rows, std::move(done));
+    batcher_.submit(std::move(xs), rows, std::move(done));
     return;
   }
   done(api_.handle(request));

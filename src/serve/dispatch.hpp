@@ -10,10 +10,6 @@
 // bound anyway (metrics), and keeping them on the event loop is a deliberate
 // simplicity tradeoff documented in DESIGN.md §13.
 //
-// With no batcher (nullptr), /v1/score also runs inline — the reactor then
-// behaves exactly like the blocking server per request, which is what the
-// batched-vs-unbatched bit-identity tests compare against.
-//
 // The dispatcher is also where load shedding happens (serve/overload.hpp):
 // before any decoding, the request's route is checked against the priority
 // classes at the current in-flight depth, and a shed request completes
@@ -32,9 +28,8 @@ namespace serve {
 
 class Dispatcher {
  public:
-  /// `batcher` may be null: every route, scoring included, runs inline.
   /// `overload` may be null: no shedding, no in-flight accounting.
-  Dispatcher(Api& api, ScoreBatcher* batcher, Overload* overload = nullptr)
+  Dispatcher(Api& api, ScoreBatcher& batcher, Overload* overload = nullptr)
       : api_(api), batcher_(batcher), overload_(overload) {}
 
   /// Route one request; `done` is invoked exactly once, either inline or
@@ -43,7 +38,7 @@ class Dispatcher {
 
  private:
   Api& api_;
-  ScoreBatcher* batcher_;
+  ScoreBatcher& batcher_;
   Overload* overload_;
 };
 

@@ -35,8 +35,8 @@ class Api {
  public:
   explicit Api(orf::Service& service);
 
-  /// Route and execute one request (the HttpServer handler, and the
-  /// reactor's inline path for everything but batched /v1/score).
+  /// Route and execute one request (the reactor's inline path for
+  /// everything but batched /v1/score).
   Response handle(const Request& request);
 
   /// The /v1/score pipeline split open for the micro-batcher, which decodes

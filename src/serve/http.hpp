@@ -67,7 +67,7 @@ std::string_view query_of(std::string_view target);
 /// Wire form of `response`; `keep_alive` controls the Connection header.
 std::string serialize(const Response& response, bool keep_alive);
 
-/// recv()/send() with socket fault injection: both servers run all
+/// recv()/send() with socket fault injection: the reactor runs all
 /// connection I/O through these, so the failpoint sites serve.conn_read /
 /// serve.conn_write can simulate short reads/writes (the syscall is capped
 /// to one byte — no stream bytes are lost, torn-frame paths just get

@@ -1,13 +1,12 @@
 // orfd — the long-running prediction daemon (see DESIGN.md §11, §13).
 //
-// Wraps one orf::Service behind an HTTP server: POST /v1/score and
-// /v1/ingest, GET /metrics and /healthz. --serve-mode picks the serving
-// model: "reactor" (default) multiplexes connections over epoll workers and
-// micro-batches concurrent /v1/score rows into shared score_batch calls;
-// "blocking" is the original thread-per-connection server. Every knob is an
-// orf::Config flag (or its ORF_* environment twin), so orfd and
-// fleet_monitor share one spelling per parameter; --features declares the
-// SMART schema width (default 19, the paper's Table 2 set).
+// Wraps one orf::Service behind the epoll reactor: POST /v1/score and
+// /v1/ingest, GET /metrics and /healthz. Connections are multiplexed over
+// epoll workers, and concurrent /v1/score rows are micro-batched into shared
+// score_batch calls. Every knob is an orf::Config flag (or its ORF_*
+// environment twin), so orfd and fleet_monitor share one spelling per
+// parameter; --features declares the SMART schema width (default 19, the
+// paper's Table 2 set).
 //
 // Lifecycle: SIGTERM/SIGINT are blocked in every thread and collected with
 // sigwait on the main thread. On the first signal the server drains —
@@ -25,7 +24,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <memory>
 #include <vector>
 
 #include "orf/orf.hpp"
@@ -34,7 +32,6 @@
 #include "serve/handlers.hpp"
 #include "serve/overload.hpp"
 #include "serve/reactor.hpp"
-#include "serve/server.hpp"
 
 namespace {
 
@@ -98,52 +95,28 @@ int run(int argc, char** argv) {
 
   serve::Api api(service);
   serve::Overload overload(config.serve, service.metrics_registry());
-  std::unique_ptr<serve::ScoreBatcher> batcher;
-  std::unique_ptr<serve::Server> server;
-  if (config.serve.mode == "reactor") {
-    batcher = std::make_unique<serve::ScoreBatcher>(api, config.serve);
-    batcher->set_overload(&overload);
-    overload.set_queue_age_probe(
-        [&batcher] { return batcher->oldest_wait_seconds(); });
-    batcher->start();
-    auto reactor = std::make_unique<serve::ReactorServer>(
-        config.serve,
-        serve::Dispatcher(api, batcher.get(), &overload),
-        &service.metrics_registry());
-    reactor->set_overload(&overload);
-    // Outstanding batches flush while reactor workers still drain inboxes.
-    reactor->set_drain_hook([&batcher] { batcher->stop(); });
-    server = std::move(reactor);
-  } else {
-    // The blocking server routes through the same dispatcher (null batcher
-    // → every completion fires synchronously) so shedding and in-flight
-    // accounting behave identically across serve modes.
-    auto http = std::make_unique<serve::HttpServer>(
-        config.serve,
-        [dispatcher = serve::Dispatcher(api, nullptr, &overload)](
-            const serve::Request& request) mutable {
-          serve::Response out;
-          dispatcher(request, [&out](serve::Response response) {
-            out = std::move(response);
-          });
-          return out;
-        },
-        &service.metrics_registry());
-    http->set_overload(&overload);
-    server = std::move(http);
-  }
-  server->start();
-  std::printf("orfd: %zu features, %zu shards, %s server on %s:%d\n",
+  serve::ScoreBatcher batcher(api, config.serve);
+  batcher.set_overload(&overload);
+  overload.set_queue_age_probe(
+      [&batcher] { return batcher.oldest_wait_seconds(); });
+  batcher.start();
+  serve::ReactorServer server(config.serve,
+                              serve::Dispatcher(api, batcher, &overload),
+                              &service.metrics_registry());
+  server.set_overload(&overload);
+  // Outstanding batches flush while reactor workers still drain inboxes.
+  server.set_drain_hook([&batcher] { batcher.stop(); });
+  server.start();
+  std::printf("orfd: %zu features, %zu shards, reactor server on %s:%d\n",
               service.feature_count(), service.engine().shard_count(),
-              config.serve.mode.c_str(), config.serve.bind_address.c_str(),
-              server->port());
+              config.serve.bind_address.c_str(), server.port());
   std::fflush(stdout);
 
   int caught = 0;
   sigwait(&signals, &caught);
   std::printf("orfd: signal %d, draining...\n", caught);
   std::fflush(stdout);
-  server->stop();
+  server.stop();
   const std::string checkpoint = service.checkpoint_now();
   if (!checkpoint.empty()) {
     std::printf("orfd: final checkpoint %s\n", checkpoint.c_str());

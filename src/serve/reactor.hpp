@@ -27,9 +27,9 @@
 // each loop iteration sweeps idle or stalled connections against
 // serve.idle_timeout_ms.
 //
-// Admission control matches the blocking server exactly: a connection
-// accepted while open connections >= serve.max_in_flight is answered a
-// canned 429 + Retry-After and closed, without parsing a byte.
+// Admission control: a connection accepted while open connections >=
+// serve.max_in_flight is answered a canned 429 + Retry-After and closed,
+// without parsing a byte.
 //
 // stop() drains in three beats: (1) close the listener and flip the drain
 // flag — every response from here serializes Connection: close; (2) run the
@@ -53,11 +53,10 @@
 #include "serve/batcher.hpp"
 #include "serve/connection.hpp"
 #include "serve/overload.hpp"
-#include "serve/server_iface.hpp"
 
 namespace serve {
 
-class ReactorServer : public Server {
+class ReactorServer {
  public:
   /// Route one request; the Completion may be invoked synchronously (inline
   /// routes) or later from another thread (the score batcher).
@@ -67,14 +66,18 @@ class ReactorServer : public Server {
   /// orf_serve_overflow_total and the orf_serve_open_connections gauge.
   ReactorServer(const orf::ServeSection& options, Dispatch dispatch,
                 obs::Registry* registry = nullptr);
-  ~ReactorServer() override;
+  ~ReactorServer();
 
   ReactorServer(const ReactorServer&) = delete;
   ReactorServer& operator=(const ReactorServer&) = delete;
 
-  void start() override;
-  void stop() override;
-  int port() const override { return port_; }
+  /// Bind + listen + spawn the workers. Throws std::system_error when the
+  /// address cannot be bound.
+  void start();
+  /// Graceful drain (see above); idempotent.
+  void stop();
+  /// The bound TCP port (resolves port 0 after start()).
+  int port() const { return port_; }
   bool running() const { return running_.load(std::memory_order_acquire); }
 
   /// Runs inside stop() between closing the listener and joining the

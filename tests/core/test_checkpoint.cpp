@@ -3,13 +3,15 @@
 // learning trajectory (structure, statistics, buffers, RNG streams).
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/online_forest.hpp"
-#include "core/online_predictor.hpp"
 #include "core/online_tree.hpp"
+#include "engine/fleet_engine.hpp"
+#include "robust/errors.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -277,7 +279,7 @@ TEST(Checkpoint, PredictorFullStateRoundTrip) {
   engine::EngineParams params;
   params.forest = forest_params();
   params.queue_capacity = 5;
-  core::OnlineDiskPredictor original(2, params, 13);
+  engine::FleetEngine original(2, params, 13);
 
   util::Rng rng(42);
   for (int day = 0; day < 40; ++day) {
@@ -290,7 +292,7 @@ TEST(Checkpoint, PredictorFullStateRoundTrip) {
 
   std::stringstream buffer;
   original.save(buffer);
-  core::OnlineDiskPredictor restored(2, params, 999);
+  engine::FleetEngine restored(2, params, 999);
   restored.restore(buffer);
 
   EXPECT_EQ(restored.tracked_disks(), original.tracked_disks());
@@ -322,7 +324,7 @@ TEST(Checkpoint, PredictorFullStateRoundTrip) {
 TEST(Checkpoint, PredictorFileRoundTrip) {
   engine::EngineParams params;
   params.forest = forest_params();
-  core::OnlineDiskPredictor predictor(2, params, 13);
+  engine::FleetEngine predictor(2, params, 13);
   util::Rng rng(42);
   for (int i = 0; i < 200; ++i) {
     const float v = static_cast<float>(rng.uniform());
@@ -331,11 +333,17 @@ TEST(Checkpoint, PredictorFileRoundTrip) {
   }
   const std::string path = ::testing::TempDir() + "/orf_monitor_ckpt.txt";
   predictor.save_file(path);
-  core::OnlineDiskPredictor restored(2, params, 1);
+  engine::FleetEngine restored(2, params, 1);
   restored.restore_file(path);
   EXPECT_EQ(restored.tracked_disks(), predictor.tracked_disks());
   EXPECT_THROW(restored.restore_file("/nonexistent/ckpt"),
                std::runtime_error);
+  // The same state written without the CRC envelope is refused, not read.
+  {
+    std::ofstream os(path, std::ios::trunc);
+    predictor.save(os);
+  }
+  EXPECT_THROW(restored.restore_file(path), robust::CorruptCheckpoint);
 }
 
 }  // namespace

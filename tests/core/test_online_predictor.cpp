@@ -1,4 +1,4 @@
-#include "core/online_predictor.hpp"
+#include "engine/fleet_engine.hpp"
 
 #include <gtest/gtest.h>
 
@@ -22,7 +22,7 @@ engine::EngineParams small_params() {
 }
 
 TEST(OnlinePredictor, QueueDelaysNegativeLabels) {
-  core::OnlineDiskPredictor predictor(1, small_params(), 7);
+  engine::FleetEngine predictor(1, small_params(), 7);
   // Seven samples fill the queue; none is released yet.
   for (int day = 0; day < 7; ++day) {
     predictor.observe(0, std::vector<float>{0.1f});
@@ -35,7 +35,7 @@ TEST(OnlinePredictor, QueueDelaysNegativeLabels) {
 }
 
 TEST(OnlinePredictor, FailureLabelsQueueContentsPositive) {
-  core::OnlineDiskPredictor predictor(1, small_params(), 7);
+  engine::FleetEngine predictor(1, small_params(), 7);
   for (int day = 0; day < 5; ++day) {
     predictor.observe(3, std::vector<float>{0.9f});
   }
@@ -45,13 +45,13 @@ TEST(OnlinePredictor, FailureLabelsQueueContentsPositive) {
 }
 
 TEST(OnlinePredictor, FailureOfUnknownDiskIsANoop) {
-  core::OnlineDiskPredictor predictor(1, small_params(), 7);
+  engine::FleetEngine predictor(1, small_params(), 7);
   predictor.disk_failed(99);
   EXPECT_EQ(predictor.positives_released(), 0u);
 }
 
 TEST(OnlinePredictor, RetiredDiskSamplesStayUnlabeled) {
-  core::OnlineDiskPredictor predictor(1, small_params(), 7);
+  engine::FleetEngine predictor(1, small_params(), 7);
   for (int day = 0; day < 5; ++day) {
     predictor.observe(4, std::vector<float>{0.5f});
   }
@@ -65,7 +65,7 @@ TEST(OnlinePredictor, LearnsToAlarmOnFailingPattern) {
   // Healthy disks report low values; failing disks ramp to high values in
   // their final week. After enough failures the predictor must alarm on
   // high values and stay quiet on low ones.
-  core::OnlineDiskPredictor predictor(1, small_params(), 7);
+  engine::FleetEngine predictor(1, small_params(), 7);
   util::Rng rng(42);
   data::DiskId next_disk = 0;
 
@@ -103,7 +103,7 @@ TEST(OnlinePredictor, LearnsToAlarmOnFailingPattern) {
 }
 
 TEST(OnlinePredictor, AlarmThresholdAdjustable) {
-  core::OnlineDiskPredictor predictor(1, small_params(), 7);
+  engine::FleetEngine predictor(1, small_params(), 7);
   predictor.set_alarm_threshold(0.0);
   const auto always = predictor.observe(1, std::vector<float>{0.5f});
   EXPECT_TRUE(always.alarm);  // any score ≥ 0
@@ -116,12 +116,12 @@ TEST(OnlinePredictor, AlarmThresholdAdjustable) {
 TEST(OnlinePredictor, ZeroQueueCapacityThrows) {
   auto params = small_params();
   params.queue_capacity = 0;
-  EXPECT_THROW(core::OnlineDiskPredictor(1, params, 7),
+  EXPECT_THROW(engine::FleetEngine(1, params, 7),
                std::invalid_argument);
 }
 
 TEST(OnlinePredictor, ScoreIsPureAndRepeatable) {
-  core::OnlineDiskPredictor predictor(1, small_params(), 7);
+  engine::FleetEngine predictor(1, small_params(), 7);
   const double s1 = predictor.score(std::vector<float>{0.4f});
   const double s2 = predictor.score(std::vector<float>{0.4f});
   EXPECT_DOUBLE_EQ(s1, s2);

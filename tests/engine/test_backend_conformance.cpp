@@ -21,6 +21,7 @@
 #include "engine/fleet_engine.hpp"
 #include "engine/model_backend.hpp"
 #include "eval/fleet_stream.hpp"
+#include "robust/errors.hpp"
 #include "util/thread_pool.hpp"
 
 namespace {
@@ -253,10 +254,10 @@ TEST(BackendFactory, DuplicateAndEmptyRegistrationsThrow) {
       std::invalid_argument);
 }
 
-// Checkpoints from before the backend= header field (PR 6) could only hold
-// an ORF; they must keep restoring into an orf-backed engine, and must be
-// refused by any other backend.
-TEST(BackendCheckpointCompat, LegacyHeaderRestoresAsOrf) {
+// Checkpoints from before the backend= header field have no record of the
+// model that wrote them; every backend refuses them with a typed error
+// instead of guessing.
+TEST(BackendCheckpointCompat, LegacyHeaderWithoutBackendIsRejected) {
   const auto fleet = small_fleet();
   engine::FleetEngine writer(fleet.feature_count(), backend_params("orf", 2),
                              5);
@@ -268,16 +269,12 @@ TEST(BackendCheckpointCompat, LegacyHeaderRestoresAsOrf) {
   ASSERT_NE(at, std::string::npos);
   snapshot.erase(at, backend_line.size());  // forge a pre-seam checkpoint
 
-  engine::FleetEngine reader(fleet.feature_count(), backend_params("orf", 3),
-                             5);
-  std::istringstream is(snapshot);
-  reader.restore(is);
-  EXPECT_EQ(engine_state(reader), engine_state(writer));
-
-  engine::FleetEngine wrong(fleet.feature_count(),
-                            backend_params("mondrian", 2), 5);
-  std::istringstream legacy(snapshot);
-  EXPECT_THROW(wrong.restore(legacy), std::runtime_error);
+  for (const char* backend : {"orf", "mondrian"}) {
+    engine::FleetEngine reader(fleet.feature_count(),
+                               backend_params(backend, 3), 5);
+    std::istringstream is(snapshot);
+    EXPECT_THROW(reader.restore(is), robust::CorruptCheckpoint) << backend;
+  }
 }
 
 TEST(BackendCheckpointCompat, GarbageHeaderTokenThrows) {

@@ -9,7 +9,6 @@
 #include <sstream>
 #include <string>
 
-#include "core/online_predictor.hpp"
 #include "datagen/fleet_generator.hpp"
 #include "datagen/profile.hpp"
 #include "engine/fleet_engine.hpp"
@@ -35,7 +34,7 @@ data::Dataset small_fleet() {
   return datagen::generate_fleet(profile, 19);
 }
 
-std::string state_of(const core::OnlineDiskPredictor& predictor) {
+std::string state_of(const engine::FleetEngine& predictor) {
   std::ostringstream os;
   predictor.save(os);
   return os.str();
@@ -49,13 +48,14 @@ void roundtrip_across_shards(std::size_t shards_before,
   const auto fleet = small_fleet();
   const data::Day cut = fleet.duration_days / 2;
 
-  core::OnlineDiskPredictor original(fleet.feature_count(),
-                                     monitor_params(shards_before), 5);
-  const auto head = eval::stream_fleet(fleet, original.engine(), {.from_day = 0, .to_day = cut});
+  engine::FleetEngine original(fleet.feature_count(),
+                               monitor_params(shards_before), 5);
+  const auto head = eval::stream_fleet(fleet, original,
+                                       {.from_day = 0, .to_day = cut});
   const std::string snapshot = state_of(original);
 
-  core::OnlineDiskPredictor resumed(fleet.feature_count(),
-                                    monitor_params(shards_after), /*seed=*/0);
+  engine::FleetEngine resumed(fleet.feature_count(),
+                              monitor_params(shards_after), /*seed=*/0);
   {
     std::istringstream is(snapshot);
     resumed.restore(is);
@@ -63,12 +63,14 @@ void roundtrip_across_shards(std::size_t shards_before,
   EXPECT_EQ(resumed.tracked_disks(), original.tracked_disks());
   EXPECT_EQ(resumed.negatives_released(), original.negatives_released());
   EXPECT_EQ(resumed.positives_released(), original.positives_released());
-  EXPECT_EQ(resumed.engine().shard_count(), shards_after);
+  EXPECT_EQ(resumed.shard_count(), shards_after);
 
   const auto tail_original =
-      eval::stream_fleet(fleet, original.engine(), {.from_day = cut, .to_day = fleet.duration_days});
+      eval::stream_fleet(fleet, original,
+                         {.from_day = cut, .to_day = fleet.duration_days});
   const auto tail_resumed =
-      eval::stream_fleet(fleet, resumed.engine(), {.from_day = cut, .to_day = fleet.duration_days});
+      eval::stream_fleet(fleet, resumed,
+                         {.from_day = cut, .to_day = fleet.duration_days});
 
   EXPECT_EQ(tail_original.total_alarms, tail_resumed.total_alarms);
   EXPECT_EQ(tail_original.samples_processed, tail_resumed.samples_processed);
@@ -93,28 +95,25 @@ TEST(EngineCheckpoint, EightShardsSavedRestoresIntoOneShard) {
 
 TEST(EngineCheckpoint, RestoreRejectsMismatchedShape) {
   const auto fleet = small_fleet();
-  core::OnlineDiskPredictor predictor(fleet.feature_count(),
-                                      monitor_params(2), 5);
-  eval::stream_fleet(fleet, predictor.engine(), {.from_day = 0, .to_day = 30});
+  engine::FleetEngine predictor(fleet.feature_count(), monitor_params(2), 5);
+  eval::stream_fleet(fleet, predictor, {.from_day = 0, .to_day = 30});
   const std::string snapshot = state_of(predictor);
 
   auto params = monitor_params(2);
   params.queue_capacity = 3;  // horizon mismatch must be caught
-  core::OnlineDiskPredictor other(fleet.feature_count(), params, 5);
+  engine::FleetEngine other(fleet.feature_count(), params, 5);
   std::istringstream is(snapshot);
   EXPECT_THROW(other.restore(is), std::runtime_error);
 }
 
 TEST(EngineCheckpoint, CountersSurviveRoundTrip) {
   const auto fleet = small_fleet();
-  core::OnlineDiskPredictor predictor(fleet.feature_count(),
-                                      monitor_params(4), 5);
-  eval::stream_fleet(fleet, predictor.engine());
+  engine::FleetEngine predictor(fleet.feature_count(), monitor_params(4), 5);
+  eval::stream_fleet(fleet, predictor);
   ASSERT_GT(predictor.negatives_released(), 0u);
   ASSERT_GT(predictor.positives_released(), 0u);
 
-  core::OnlineDiskPredictor resumed(fleet.feature_count(), monitor_params(4),
-                                    0);
+  engine::FleetEngine resumed(fleet.feature_count(), monitor_params(4), 0);
   std::istringstream is(state_of(predictor));
   resumed.restore(is);
   EXPECT_EQ(resumed.negatives_released(), predictor.negatives_released());

@@ -8,10 +8,10 @@
 #include <sstream>
 #include <string>
 
-#include "core/online_predictor.hpp"
 #include "data/labeling.hpp"
 #include "datagen/fleet_generator.hpp"
 #include "datagen/profile.hpp"
+#include "engine/fleet_engine.hpp"
 #include "eval/fleet_stream.hpp"
 #include "eval/replay.hpp"
 #include "util/thread_pool.hpp"
@@ -29,7 +29,7 @@ engine::EngineParams stream_params(std::size_t shards) {
   return p;
 }
 
-std::string engine_state(const core::OnlineDiskPredictor& predictor) {
+std::string engine_state(const engine::FleetEngine& predictor) {
   std::ostringstream os;
   predictor.save(os);
   return os.str();
@@ -42,10 +42,10 @@ struct StreamRun {
 
 StreamRun run_stream(const data::Dataset& fleet, std::size_t shards,
                      util::ThreadPool* pool) {
-  core::OnlineDiskPredictor predictor(fleet.feature_count(),
-                                      stream_params(shards), /*seed=*/5);
+  engine::FleetEngine predictor(fleet.feature_count(), stream_params(shards),
+                                /*seed=*/5);
   StreamRun run;
-  run.result = eval::stream_fleet(fleet, predictor.engine(), {.pool = pool});
+  run.result = eval::stream_fleet(fleet, predictor, {.pool = pool});
   run.state = engine_state(predictor);
   return run;
 }

@@ -10,9 +10,9 @@
 #include <string>
 #include <vector>
 
-#include "core/online_predictor.hpp"
 #include "datagen/fleet_generator.hpp"
 #include "datagen/profile.hpp"
+#include "engine/fleet_engine.hpp"
 #include "eval/fleet_stream.hpp"
 #include "obs/export.hpp"
 #include "util/thread_pool.hpp"
@@ -37,7 +37,7 @@ data::Dataset small_fleet() {
   return datagen::generate_fleet(profile, 31);
 }
 
-std::string engine_state(const core::OnlineDiskPredictor& predictor) {
+std::string engine_state(const engine::FleetEngine& predictor) {
   std::ostringstream os;
   predictor.save(os);
   return os.str();
@@ -47,17 +47,17 @@ TEST(EngineMetrics, SnapshottingEveryDayIsBitIdentical) {
   const data::Dataset fleet = small_fleet();
   util::ThreadPool pool(4);
 
-  core::OnlineDiskPredictor plain(fleet.feature_count(), metrics_params(3),
-                                  /*seed=*/5);
-  const auto base = eval::stream_fleet(fleet, plain.engine(), {.pool = &pool});
+  engine::FleetEngine plain(fleet.feature_count(), metrics_params(3),
+                            /*seed=*/5);
+  const auto base = eval::stream_fleet(fleet, plain, {.pool = &pool});
 
-  core::OnlineDiskPredictor observed(fleet.feature_count(), metrics_params(3),
-                                     /*seed=*/5);
+  engine::FleetEngine observed(fleet.feature_count(), metrics_params(3),
+                               /*seed=*/5);
   std::size_t snapshots = 0;
   const auto result = eval::stream_fleet(
-      fleet, observed.engine(),
+      fleet, observed,
       {.pool = &pool, .on_day_end = [&](data::Day) {
-         const obs::Snapshot snap = observed.engine().metrics_snapshot();
+         const obs::Snapshot snap = observed.metrics_snapshot();
          ASSERT_FALSE(obs::to_json(snap).empty());
          ASSERT_FALSE(obs::to_prometheus(snap).empty());
          ++snapshots;
@@ -76,11 +76,11 @@ TEST(EngineMetrics, SnapshottingEveryDayIsBitIdentical) {
 
 TEST(EngineMetrics, RegistryCountersMatchStreamTotals) {
   const data::Dataset fleet = small_fleet();
-  core::OnlineDiskPredictor predictor(fleet.feature_count(), metrics_params(4),
-                                      /*seed=*/5);
-  const auto result = eval::stream_fleet(fleet, predictor.engine());
+  engine::FleetEngine predictor(fleet.feature_count(), metrics_params(4),
+                                /*seed=*/5);
+  const auto result = eval::stream_fleet(fleet, predictor);
 
-  const engine::FleetEngine& engine = predictor.engine();
+  const engine::FleetEngine& engine = predictor;
   const engine::EngineCounters counters = engine.counters();
 
   EXPECT_EQ(counters.total.samples_ingested, result.samples_processed);
@@ -136,15 +136,15 @@ TEST(EngineMetrics, ForestGaugesTrackModelAging) {
   p.forest.age_threshold = 5;
   p.forest.min_oob_evals = 3;
   p.forest.oobe_decay = 0.5;
-  core::OnlineDiskPredictor predictor(/*feature_count=*/4, p, /*seed=*/9);
+  engine::FleetEngine predictor(/*feature_count=*/4, p, /*seed=*/9);
 
   // Adversarial labels: features carry no signal, so OOBE climbs.
   std::vector<float> x(4, 0.5F);
   for (int i = 0; i < 400; ++i) {
-    predictor.engine().learn_labeled(x, i % 2);
+    predictor.learn_labeled(x, i % 2);
   }
 
-  const obs::Snapshot snap = predictor.engine().metrics_snapshot();
+  const obs::Snapshot snap = predictor.metrics_snapshot();
   double oobe_mean = -1.0;
   std::uint64_t replaced = 0;
   std::uint64_t seen = 0;

@@ -2,9 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include "core/online_predictor.hpp"
 #include "datagen/fleet_generator.hpp"
 #include "datagen/profile.hpp"
+#include "engine/fleet_engine.hpp"
 
 namespace {
 
@@ -27,18 +27,16 @@ data::Dataset small_fleet() {
 
 TEST(FleetStream, ProcessesEverySampleExactlyOnce) {
   const auto fleet = small_fleet();
-  core::OnlineDiskPredictor predictor(fleet.feature_count(), small_params(),
-                                      5);
-  const auto result = eval::stream_fleet(fleet, predictor.engine());
+  engine::FleetEngine predictor(fleet.feature_count(), small_params(), 5);
+  const auto result = eval::stream_fleet(fleet, predictor);
   EXPECT_EQ(result.samples_processed, fleet.sample_count());
   EXPECT_EQ(result.disks.size(), fleet.disks.size());
 }
 
 TEST(FleetStream, OutcomesMirrorDiskFates) {
   const auto fleet = small_fleet();
-  core::OnlineDiskPredictor predictor(fleet.feature_count(), small_params(),
-                                      5);
-  const auto result = eval::stream_fleet(fleet, predictor.engine());
+  engine::FleetEngine predictor(fleet.feature_count(), small_params(), 5);
+  const auto result = eval::stream_fleet(fleet, predictor);
   for (std::size_t i = 0; i < fleet.disks.size(); ++i) {
     EXPECT_EQ(result.disks[i].failed, fleet.disks[i].failed);
     EXPECT_EQ(result.disks[i].last_day, fleet.disks[i].last_day);
@@ -51,9 +49,8 @@ TEST(FleetStream, OutcomesMirrorDiskFates) {
 
 TEST(FleetStream, AlarmDaysAreSorted) {
   const auto fleet = small_fleet();
-  core::OnlineDiskPredictor predictor(fleet.feature_count(), small_params(),
-                                      5);
-  const auto result = eval::stream_fleet(fleet, predictor.engine());
+  engine::FleetEngine predictor(fleet.feature_count(), small_params(), 5);
+  const auto result = eval::stream_fleet(fleet, predictor);
   for (const auto& outcome : result.disks) {
     for (std::size_t i = 1; i < outcome.alarm_days.size(); ++i) {
       EXPECT_LT(outcome.alarm_days[i - 1], outcome.alarm_days[i]);

@@ -2,11 +2,11 @@
 // (LabelQueue labeling + online scaling + ORF) → disk-level metrics.
 #include <gtest/gtest.h>
 
-#include "core/online_predictor.hpp"
 #include "data/backblaze_csv.hpp"
 #include "data/labeling.hpp"
 #include "datagen/fleet_generator.hpp"
 #include "datagen/profile.hpp"
+#include "engine/fleet_engine.hpp"
 #include "eval/fleet_stream.hpp"
 #include "eval/metrics.hpp"
 #include "eval/replay.hpp"
@@ -32,9 +32,9 @@ TEST(EndToEnd, OnlinePipelineDetectsFailuresWithFewFalseAlarms) {
   profile.duration_days = 15 * data::kDaysPerMonth;
   const auto dataset = datagen::generate_fleet(profile, 17);
 
-  core::OnlineDiskPredictor predictor(dataset.feature_count(),
-                                      predictor_params(), 23);
-  const auto result = eval::stream_fleet(dataset, predictor.engine());
+  engine::FleetEngine predictor(dataset.feature_count(), predictor_params(),
+                                23);
+  const auto result = eval::stream_fleet(dataset, predictor);
   EXPECT_EQ(result.samples_processed, dataset.sample_count());
 
   // Skip the first four months while the model warms up.
@@ -51,9 +51,9 @@ TEST(EndToEnd, StreamingReleasesMatchQueueSemantics) {
   profile.duration_days = 6 * data::kDaysPerMonth;
   const auto dataset = datagen::generate_fleet(profile, 17);
 
-  core::OnlineDiskPredictor predictor(dataset.feature_count(),
-                                      predictor_params(), 23);
-  eval::stream_fleet(dataset, predictor.engine());
+  engine::FleetEngine predictor(dataset.feature_count(), predictor_params(),
+                                23);
+  eval::stream_fleet(dataset, predictor);
 
   // Every failed disk contributes min(queue, observed) positives; every
   // sample not positive and not stuck in a queue at retirement was released
@@ -115,9 +115,9 @@ TEST(EndToEnd, OnlineLabelsAgreeWithOfflineLabelsOnCompletedDisks) {
   profile.duration_days = 6 * data::kDaysPerMonth;
   const auto dataset = datagen::generate_fleet(profile, 31);
 
-  core::OnlineDiskPredictor predictor(dataset.feature_count(),
-                                      predictor_params(), 23);
-  eval::stream_fleet(dataset, predictor.engine());
+  engine::FleetEngine predictor(dataset.feature_count(), predictor_params(),
+                                23);
+  eval::stream_fleet(dataset, predictor);
 
   const auto offline = data::label_offline_all(dataset);
   EXPECT_EQ(predictor.positives_released(),

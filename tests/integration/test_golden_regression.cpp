@@ -1,6 +1,6 @@
 // Golden end-to-end regression: a fixed synthetic fleet streamed through
-// the full deployment loop (datagen → FleetEngine via OnlineDiskPredictor →
-// eval metrics) must reproduce the committed numbers in
+// the full deployment loop (datagen → FleetEngine → eval metrics) must
+// reproduce the committed numbers in
 // tests/golden/fleet_stream.golden EXACTLY — doubles are compared as
 // hexfloat strings, so a single ULP of drift anywhere in the pipeline
 // (scaler, forest arithmetic, alarm thresholding, metric aggregation) fails
@@ -24,10 +24,10 @@
 #include <sstream>
 #include <string>
 
-#include "core/online_predictor.hpp"
 #include "data/types.hpp"
 #include "datagen/fleet_generator.hpp"
 #include "datagen/profile.hpp"
+#include "engine/fleet_engine.hpp"
 #include "eval/fleet_stream.hpp"
 #include "eval/metrics.hpp"
 
@@ -66,9 +66,8 @@ std::string run_scenario() {
   params.forest.lambda_neg = 0.02;
   params.alarm_threshold = 0.5;
   params.shards = 4;  // results are shard-invariant; pick a parallel shape
-  core::OnlineDiskPredictor predictor(dataset.feature_count(), params,
-                                      /*seed=*/23);
-  const auto result = eval::stream_fleet(dataset, predictor.engine());
+  engine::FleetEngine predictor(dataset.feature_count(), params, /*seed=*/23);
+  const auto result = eval::stream_fleet(dataset, predictor);
   const auto metrics =
       result.metrics(data::kHorizonDays, 3 * data::kDaysPerMonth);
 

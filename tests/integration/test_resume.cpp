@@ -11,9 +11,9 @@
 #include <sstream>
 #include <string>
 
-#include "core/online_predictor.hpp"
 #include "datagen/fleet_generator.hpp"
 #include "datagen/profile.hpp"
+#include "engine/fleet_engine.hpp"
 #include "eval/fleet_stream.hpp"
 #include "robust/checkpoint_io.hpp"
 #include "robust/failpoint.hpp"
@@ -40,13 +40,16 @@ data::Dataset fleet() {
 
 TEST(Resume, WindowedStreamingEqualsOneShot) {
   const auto dataset = fleet();
-  core::OnlineDiskPredictor continuous(dataset.feature_count(), params(), 5);
-  const auto full = eval::stream_fleet(dataset, continuous.engine());
+  engine::FleetEngine continuous(dataset.feature_count(), params(), 5);
+  const auto full = eval::stream_fleet(dataset, continuous);
 
-  core::OnlineDiskPredictor windowed(dataset.feature_count(), params(), 5);
+  engine::FleetEngine windowed(dataset.feature_count(), params(), 5);
   const data::Day mid = dataset.duration_days / 2;
-  const auto first = eval::stream_fleet(dataset, windowed.engine(), {.from_day = 0, .to_day = mid});
-  const auto second = eval::stream_fleet(dataset, windowed.engine(), {.from_day = mid, .to_day = dataset.duration_days});
+  const auto first = eval::stream_fleet(dataset, windowed,
+                                        {.from_day = 0, .to_day = mid});
+  const auto second =
+      eval::stream_fleet(dataset, windowed,
+                         {.from_day = mid, .to_day = dataset.duration_days});
 
   EXPECT_EQ(first.samples_processed + second.samples_processed,
             full.samples_processed);
@@ -64,21 +67,23 @@ TEST(Resume, WindowedStreamingEqualsOneShot) {
 
 TEST(Resume, CheckpointRestartMatchesUninterruptedRun) {
   const auto dataset = fleet();
-  core::OnlineDiskPredictor continuous(dataset.feature_count(), params(), 5);
-  const auto full = eval::stream_fleet(dataset, continuous.engine());
+  engine::FleetEngine continuous(dataset.feature_count(), params(), 5);
+  const auto full = eval::stream_fleet(dataset, continuous);
 
   // Process A runs the first half, checkpoints, and "crashes".
-  core::OnlineDiskPredictor process_a(dataset.feature_count(), params(), 5);
+  engine::FleetEngine process_a(dataset.feature_count(), params(), 5);
   const data::Day mid = dataset.duration_days / 2;
-  const auto first = eval::stream_fleet(dataset, process_a.engine(), {.from_day = 0, .to_day = mid});
+  const auto first = eval::stream_fleet(dataset, process_a,
+                                        {.from_day = 0, .to_day = mid});
   std::stringstream checkpoint;
   process_a.save(checkpoint);
 
   // Process B starts fresh (different seed!), restores, and finishes.
-  core::OnlineDiskPredictor process_b(dataset.feature_count(), params(),
-                                      987654);
+  engine::FleetEngine process_b(dataset.feature_count(), params(), 987654);
   process_b.restore(checkpoint);
-  const auto second = eval::stream_fleet(dataset, process_b.engine(), {.from_day = mid, .to_day = dataset.duration_days});
+  const auto second =
+      eval::stream_fleet(dataset, process_b,
+                         {.from_day = mid, .to_day = dataset.duration_days});
 
   EXPECT_EQ(first.total_alarms + second.total_alarms, full.total_alarms);
   EXPECT_EQ(process_b.positives_released(),
@@ -96,7 +101,7 @@ TEST(Resume, CheckpointRestartMatchesUninterruptedRun) {
   EXPECT_DOUBLE_EQ(process_b.score(probe), continuous.score(probe));
 }
 
-std::string snapshot_of(const core::OnlineDiskPredictor& predictor,
+std::string snapshot_of(const engine::FleetEngine& predictor,
                         data::Day next_day) {
   std::ostringstream payload;
   payload << "day " << next_day << "\n";
@@ -104,7 +109,7 @@ std::string snapshot_of(const core::OnlineDiskPredictor& predictor,
   return payload.str();
 }
 
-data::Day restore_from(core::OnlineDiskPredictor& predictor,
+data::Day restore_from(engine::FleetEngine& predictor,
                        const std::string& payload) {
   std::istringstream is(payload);
   std::string keyword;
@@ -123,8 +128,8 @@ TEST(Resume, KillDuringSaveAtEverySiteStillResumesBitIdentical) {
   // crashes resume from the older snapshot (more replay), post-rename ones
   // from the newer.
   const auto dataset = fleet();
-  core::OnlineDiskPredictor continuous(dataset.feature_count(), params(), 5);
-  const auto full = eval::stream_fleet(dataset, continuous.engine());
+  engine::FleetEngine continuous(dataset.feature_count(), params(), 5);
+  const auto full = eval::stream_fleet(dataset, continuous);
   std::ostringstream final_state;
   continuous.save(final_state);
 
@@ -139,10 +144,10 @@ TEST(Resume, KillDuringSaveAtEverySiteStillResumesBitIdentical) {
 
     // Process A: stream to cut1, checkpoint cleanly, stream to cut2, then
     // die inside the second checkpoint save.
-    core::OnlineDiskPredictor process_a(dataset.feature_count(), params(), 5);
-    eval::stream_fleet(dataset, process_a.engine(), {.from_day = 0, .to_day = cut1});
+    engine::FleetEngine process_a(dataset.feature_count(), params(), 5);
+    eval::stream_fleet(dataset, process_a, {.from_day = 0, .to_day = cut1});
     recovery.save({snapshot_of(process_a, cut1)});
-    eval::stream_fleet(dataset, process_a.engine(), {.from_day = cut1, .to_day = cut2});
+    eval::stream_fleet(dataset, process_a, {.from_day = cut1, .to_day = cut2});
     robust::failpoints::arm(site, {robust::FaultKind::kIoError});
     EXPECT_THROW(recovery.save({snapshot_of(process_a, cut2)}),
                  robust::InjectedFault);
@@ -150,13 +155,14 @@ TEST(Resume, KillDuringSaveAtEverySiteStillResumesBitIdentical) {
 
     // Process B: recover from whatever the directory holds and replay the
     // rest of the deployment.
-    core::OnlineDiskPredictor process_b(dataset.feature_count(), params(),
-                                        424242);
+    engine::FleetEngine process_b(dataset.feature_count(), params(), 424242);
     const auto loaded = recovery.load_latest();
     ASSERT_TRUE(loaded.has_value());
     const data::Day resume_day = restore_from(process_b, loaded->payload);
     EXPECT_TRUE(resume_day == cut1 || resume_day == cut2);
-    eval::stream_fleet(dataset, process_b.engine(), {.from_day = resume_day, .to_day = dataset.duration_days});
+    eval::stream_fleet(
+        dataset, process_b,
+        {.from_day = resume_day, .to_day = dataset.duration_days});
 
     std::ostringstream resumed_state;
     process_b.save(resumed_state);
@@ -201,13 +207,13 @@ TEST(Resume, DirtyStreamLeavesAccuracyUntouched) {
   ASSERT_GT(injected, 10u);
 
   engine::EngineParams strict = params();
-  core::OnlineDiskPredictor clean_monitor(clean.feature_count(), strict, 5);
-  const auto clean_result = eval::stream_fleet(clean, clean_monitor.engine());
+  engine::FleetEngine clean_monitor(clean.feature_count(), strict, 5);
+  const auto clean_result = eval::stream_fleet(clean, clean_monitor);
 
   engine::EngineParams lenient = params();
   lenient.ingest_errors = robust::RowErrorPolicy::kSkip;
-  core::OnlineDiskPredictor dirty_monitor(dirty.feature_count(), lenient, 5);
-  const auto dirty_result = eval::stream_fleet(dirty, dirty_monitor.engine());
+  engine::FleetEngine dirty_monitor(dirty.feature_count(), lenient, 5);
+  const auto dirty_result = eval::stream_fleet(dirty, dirty_monitor);
 
   // Every injected row was rejected, nothing else.
   EXPECT_EQ(dirty_result.samples_rejected, injected);
@@ -215,7 +221,7 @@ TEST(Resume, DirtyStreamLeavesAccuracyUntouched) {
             clean_result.samples_processed + injected);
   double rejected_total = 0;
   for (const auto& counter :
-       dirty_monitor.engine().metrics_snapshot().counters) {
+       dirty_monitor.metrics_snapshot().counters) {
     if (counter.id.name == "orf_ingest_rejected_total") {
       rejected_total += counter.value;
     }
@@ -246,10 +252,14 @@ TEST(Resume, DirtyStreamLeavesAccuracyUntouched) {
 
 TEST(Resume, WindowsOutsideDataAreNoops) {
   const auto dataset = fleet();
-  core::OnlineDiskPredictor predictor(dataset.feature_count(), params(), 5);
-  const auto before = eval::stream_fleet(dataset, predictor.engine(), {.from_day = -100, .to_day = 0});
+  engine::FleetEngine predictor(dataset.feature_count(), params(), 5);
+  const auto before = eval::stream_fleet(dataset, predictor,
+                                         {.from_day = -100, .to_day = 0});
   EXPECT_EQ(before.samples_processed, 0u);
-  const auto after = eval::stream_fleet(dataset, predictor.engine(), {.from_day = dataset.duration_days, .to_day = dataset.duration_days + 50});
+  const auto after = eval::stream_fleet(
+      dataset, predictor,
+      {.from_day = dataset.duration_days,
+       .to_day = dataset.duration_days + 50});
   EXPECT_EQ(after.samples_processed, 0u);
 }
 

@@ -52,9 +52,8 @@ TEST(OrfConfig, FlagsReachEverySection) {
        "--flat-scoring=false", "--row-errors=quarantine",
        "--queue-capacity=14", "--checkpoint-dir=/tmp/x",
        "--checkpoint-every=10", "--checkpoint-keep=5", "--bind=0.0.0.0",
-       "--port=9999", "--serve-mode=blocking", "--serve-threads=8",
-       "--serve-workers=3", "--idle-timeout-ms=5000", "--max-in-flight=2", "--max-body-bytes=1024",
-       "--retry-after=3"}));
+       "--port=9999", "--serve-workers=3", "--idle-timeout-ms=5000",
+       "--max-in-flight=2", "--max-body-bytes=1024", "--retry-after=3"}));
   EXPECT_EQ(config.forest.n_trees, 12);
   EXPECT_DOUBLE_EQ(config.forest.lambda_pos, 0.8);
   EXPECT_DOUBLE_EQ(config.forest.lambda_neg, 0.05);
@@ -70,8 +69,6 @@ TEST(OrfConfig, FlagsReachEverySection) {
   EXPECT_EQ(config.robust.checkpoint_keep, 5u);
   EXPECT_EQ(config.serve.bind_address, "0.0.0.0");
   EXPECT_EQ(config.serve.port, 9999);
-  EXPECT_EQ(config.serve.mode, "blocking");
-  EXPECT_EQ(config.serve.threads, 8u);
   EXPECT_EQ(config.serve.workers, 3u);
   EXPECT_EQ(config.serve.idle_timeout_ms, 5000);
   EXPECT_EQ(config.serve.max_in_flight, 2u);
@@ -225,26 +222,8 @@ TEST(OrfConfig, ValidateRejectsInconsistentCombinations) {
   EXPECT_THROW(config.validate(), orf::ConfigError);
   config = {};
 
-  config.serve.threads = 0;
-  EXPECT_THROW(config.validate(), orf::ConfigError);
-  config = {};
-
-  config.serve.mode = "forking";
-  EXPECT_THROW(config.validate(), orf::ConfigError);
-  config = {};
-
   config.serve.idle_timeout_ms = 0;
   EXPECT_THROW(config.validate(), orf::ConfigError);
-}
-
-TEST(OrfConfig, ServeModeKnobResolvesFlagThenEnvThenDefault) {
-  EXPECT_EQ(orf::Config::from_flags(make_flags({})).serve.mode, "reactor");
-
-  const ScopedEnv env("ORF_SERVE_MODE", "blocking");
-  EXPECT_EQ(orf::Config::from_flags(make_flags({})).serve.mode, "blocking");
-  EXPECT_EQ(orf::Config::from_flags(make_flags({"--serve-mode=reactor"}))
-                .serve.mode,
-            "reactor");  // flag beats ORF_SERVE_MODE
 }
 
 TEST(OrfConfig, FromFlagsValidates) {
@@ -265,7 +244,7 @@ TEST(OrfConfig, FlagSpecsCoverTheSharedKnobsInUsageText) {
   for (const char* flag :
        {"--backend", "--mondrian-lifetime", "--trees", "--port",
         "--checkpoint-dir", "--row-errors", "--resume", "--max-in-flight",
-        "--serve-mode", "--serve-workers", "--idle-timeout-ms", "--wal",
+        "--serve-workers", "--idle-timeout-ms", "--wal",
         "--wal-sync",
         "--request-deadline-ms", "--shed-high-water", "--oobe-threshold",
         "--tsdb-retain-days", "--help"}) {
@@ -284,6 +263,19 @@ TEST(OrfConfig, RemovedBatchKnobsAreUnknownFlags) {
   }
   const std::string usage = util::usage_text("orfd", orf::Config::flag_specs());
   EXPECT_EQ(usage.find("--batch-max"), std::string::npos) << usage;
+}
+
+TEST(OrfConfig, RemovedServeKnobsAreUnknownFlags) {
+  // The reactor is the only serving stack; the knobs that picked the
+  // thread-per-connection server and sized its pool are gone.
+  for (const char* flag : {"--serve-mode=blocking", "--serve-threads=8"}) {
+    EXPECT_THROW(make_flags({flag}).enforce("orfd", orf::Config::flag_specs()),
+                 util::FlagError)
+        << flag;
+  }
+  const std::string usage = util::usage_text("orfd", orf::Config::flag_specs());
+  EXPECT_EQ(usage.find("--serve-mode"), std::string::npos) << usage;
+  EXPECT_EQ(usage.find("--serve-threads"), std::string::npos) << usage;
 }
 
 TEST(OrfConfig, HistoryConsumerKnobsParseAndValidate) {

@@ -3,8 +3,7 @@
 // end, below the retention floor, floor exactly at the window start),
 // override handling (Service::replay rejects them; run_replay builds the
 // retuned cell), the honored checkpoint cadence, cold-start backfill
-// equivalence, store-path/reader equivalence, and the deprecated
-// replay_range shim.
+// equivalence, and store-path/reader equivalence.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -309,18 +308,5 @@ TEST_F(ReplaySpecTest, ProgressAndDayCallbacksSeeEveryDay) {
   EXPECT_EQ(last.rows, stats.rows);
   EXPECT_EQ(last.alarms, stats.alarms);
 }
-
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST_F(ReplaySpecTest, DeprecatedReplayRangeShimStillReplays) {
-  const std::string live_state = capture_live();
-  tsdb::Reader reader(tsdb_dir());
-  orf::Service service(kFeatures, base_config());
-  const orf::Service::ReplayStats stats =
-      service.replay_range(reader, 0, reader.end_day());
-  EXPECT_EQ(stats.days, kDays);
-  EXPECT_EQ(state_of(service), live_state);
-}
-#pragma GCC diagnostic pop
 
 }  // namespace

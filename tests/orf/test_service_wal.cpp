@@ -367,4 +367,27 @@ TEST_F(ServiceWal, WalDisabledFallsBackToCheckpointOnlyDurability) {
   EXPECT_EQ(recovered.wal_replayed_records(), 0u);
 }
 
+TEST(ServiceSnapshot, RestoreReadsOnlyTheOrfServiceHeader) {
+  // The pre-Service "fleet-monitor v1" header carried the same body; it is
+  // refused like any other foreign header rather than read unchecked.
+  orf::Service writer(kFeatures, base_config());
+  std::vector<std::vector<float>> storage;
+  std::vector<engine::DayOutcome> outcomes;
+  writer.ingest(make_batch(0, storage), outcomes);
+  const std::string snapshot = state_of(writer);
+  ASSERT_EQ(snapshot.rfind("orf-service v1\n", 0), 0u);
+  const std::string body = snapshot.substr(snapshot.find('\n'));
+
+  orf::Service reader(kFeatures, base_config());
+  std::istringstream same(snapshot);
+  reader.restore(same);
+  EXPECT_EQ(state_of(reader), snapshot);
+
+  for (const char* header : {"fleet-monitor v1", "orf-service v2"}) {
+    orf::Service other(kFeatures, base_config());
+    std::istringstream is(header + body);
+    EXPECT_THROW(other.restore(is), std::runtime_error) << header;
+  }
+}
+
 }  // namespace

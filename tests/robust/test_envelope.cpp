@@ -110,7 +110,6 @@ TEST(Envelope, TrailingGarbageIsCorrupt) {
 TEST_F(EnvelopeFile, AtomicWriteThenLoadRoundTrips) {
   const std::string payload = sample_payload();
   robust::write_envelope_file(path_, payload);
-  EXPECT_EQ(robust::load_checkpoint_payload(path_), payload);
   EXPECT_EQ(robust::read_envelope_file(path_), payload);
   // The temp file must not survive a successful save.
   EXPECT_FALSE(fs::exists(path_ + ".tmp"));
@@ -122,25 +121,23 @@ TEST_F(EnvelopeFile, RewriteReplacesAtomically) {
   EXPECT_EQ(robust::read_envelope_file(path_), "new");
 }
 
-TEST_F(EnvelopeFile, LegacyUnframedFileLoadsVerbatim) {
-  // Pre-envelope checkpoints are bare text; the tolerant loader returns
-  // them unchanged, the strict loader calls them corrupt.
-  const std::string legacy = "forest v3\ntrees 8\n";
-  write_raw(legacy);
-  EXPECT_EQ(robust::load_checkpoint_payload(path_), legacy);
+TEST_F(EnvelopeFile, LegacyUnframedFileIsCorrupt) {
+  // Pre-envelope checkpoints are bare text with no CRC to check; the
+  // reader refuses them rather than load unverified bytes.
+  write_raw("forest v3\ntrees 8\n");
   EXPECT_THROW(robust::read_envelope_file(path_), robust::CorruptCheckpoint);
 }
 
 TEST_F(EnvelopeFile, HeaderDestroyingTruncationIsCorruptNotLegacy) {
-  // Chop the file so short the magic itself is gone: the strict loader must
-  // still report corruption (the tolerant one would call it legacy).
+  // Chop the file so short the magic itself is gone: the loader must still
+  // report corruption.
   const std::string framed = robust::make_envelope(sample_payload());
   write_raw(framed.substr(0, 4));
   EXPECT_THROW(robust::read_envelope_file(path_), robust::CorruptCheckpoint);
 }
 
 TEST_F(EnvelopeFile, MissingFileThrowsRuntimeError) {
-  EXPECT_THROW(robust::load_checkpoint_payload((dir_ / "nope").string()),
+  EXPECT_THROW(robust::read_envelope_file((dir_ / "nope").string()),
                std::runtime_error);
 }
 

@@ -1,17 +1,14 @@
-// Fuzz-style robustness for the checkpoint readers: whatever bytes are on
-// disk, load_checkpoint_payload / read_envelope_file must return cleanly or
+// Fuzz-style robustness for the checkpoint reader: whatever bytes are on
+// disk, read_envelope_file must return cleanly or
 // throw a typed exception — never crash, scribble, or hand back a silently
 // wrong payload. Exhaustive single-fault coverage (truncate at EVERY offset,
 // flip a byte at EVERY offset) plus seeded random multi-byte corruption; the
 // whole suite runs under ASan/UBSan via scripts/check.sh, which is where
 // "no UB" is actually enforced.
 //
-// The contract asserted for every corrupted image:
-//   read_envelope_file      → the exact payload, or CorruptCheckpoint.
-//   load_checkpoint_payload → the exact payload, CorruptCheckpoint, or —
-//                             legacy fallback — the file's bytes verbatim
-//                             (only when they no longer look like an
-//                             envelope).
+// The contract asserted for every corrupted image: read_envelope_file
+// returns the exact payload or throws CorruptCheckpoint — no image, framed
+// or not, loads without passing the CRC check.
 // Returning the exact payload under corruption is legitimate only when the
 // damage missed the framing semantics (e.g. a flip inside a digit of the
 // header that still parses consistently is impossible — CRC covers the
@@ -61,33 +58,19 @@ class EnvelopeFuzz : public ::testing::Test {
     os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
 
-  /// Feed one corrupted image through both readers and assert the contract.
-  /// Returns how many reader calls recovered the exact payload (0–2).
-  int check_image(const std::string& image) {
+  /// Feed one corrupted image through the reader and assert the contract.
+  /// Returns whether it recovered the exact payload.
+  bool check_image(const std::string& image) {
     write_raw(image);
-    int exact = 0;
     try {
       const std::string got = robust::read_envelope_file(path_);
       EXPECT_EQ(got, payload_)
-          << "strict reader returned a WRONG payload (silent corruption)";
-      ++exact;
+          << "reader returned a WRONG payload (silent corruption)";
+      return true;
     } catch (const robust::CorruptCheckpoint&) {
       // typed rejection: the expected outcome for real damage
     }
-    try {
-      const std::string got = robust::load_checkpoint_payload(path_);
-      if (got == payload_) {
-        ++exact;
-      } else {
-        // Legacy fallback is only legitimate when the image genuinely no
-        // longer announces itself as an envelope.
-        EXPECT_FALSE(robust::looks_like_envelope(image))
-            << "tolerant reader fell back on an envelope-magic image";
-        EXPECT_EQ(got, image) << "legacy fallback must be verbatim";
-      }
-    } catch (const robust::CorruptCheckpoint&) {
-    }
-    return exact;
+    return false;
   }
 
   fs::path dir_;
@@ -101,11 +84,11 @@ TEST_F(EnvelopeFuzz, TruncationAtEveryOffsetNeverYieldsWrongPayload) {
   // recover the payload.
   for (std::size_t cut = 0; cut < envelope_.size(); ++cut) {
     SCOPED_TRACE("truncate to " + std::to_string(cut) + " bytes");
-    const int exact = check_image(envelope_.substr(0, cut));
-    EXPECT_EQ(exact, 0) << "a truncated envelope produced the full payload";
+    EXPECT_FALSE(check_image(envelope_.substr(0, cut)))
+        << "a truncated envelope produced the full payload";
     if (testing::Test::HasFailure()) return;
   }
-  EXPECT_EQ(check_image(envelope_), 2) << "intact image must round-trip";
+  EXPECT_TRUE(check_image(envelope_)) << "intact image must round-trip";
 }
 
 TEST_F(EnvelopeFuzz, ByteFlipAtEveryOffsetIsRejectedOrHarmless) {

@@ -78,8 +78,7 @@ TEST_F(Recovery, FallsBackPastDamagedNewestSnapshot) {
 }
 
 TEST_F(Recovery, TruncationBelowTheMagicStillFallsBack) {
-  // So short the envelope magic is gone — must be treated as damage, not as
-  // a legacy unframed checkpoint.
+  // So short the envelope magic is gone — must still be treated as damage.
   auto mgr = manager();
   mgr.save({"good old"});
   const auto newest = mgr.save({"bad new"});

@@ -147,7 +147,7 @@ class BatcherTest : public ::testing::Test {
       : config_(batcher_config()), service_(kFeatures, config_),
         api_(service_) {}
 
-  /// Unbatched reference: the exact bytes the blocking server would send.
+  /// Unbatched reference: the exact bytes Api::handle answers in process.
   std::string reference_body(const serve::Request& request) {
     return api_.handle(request).body;
   }

@@ -1,8 +1,10 @@
-// End-to-end daemon tests: a real orf::Service behind a real HttpServer on
-// an ephemeral port, driven through actual sockets. Covers the serving
+// End-to-end daemon tests: a real orf::Service behind the epoll reactor on
+// an ephemeral port, wired as orfd wires it (score batcher, overload
+// policy, drain hook), driven through actual sockets. Covers the serving
 // contract of DESIGN.md §11: score/ingest/metrics/healthz round trips,
 // concurrent scoring with the flat kernel quiescent, admission-control 429
-// with Retry-After, malformed bodies answered 400 with a cause, and the
+// with Retry-After, malformed bodies answered 400 with a cause, WAL
+// degrade/recover, load shedding reconciled with its counter, and the
 // drain → final checkpoint → resume path being bit-identical to an
 // uninterrupted run.
 #include <arpa/inet.h>
@@ -12,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <sstream>
@@ -21,11 +24,12 @@
 
 #include "orf/orf.hpp"
 #include "robust/failpoint.hpp"
+#include "serve/batcher.hpp"
 #include "serve/dispatch.hpp"
 #include "serve/handlers.hpp"
 #include "serve/json.hpp"
 #include "serve/overload.hpp"
-#include "serve/server.hpp"
+#include "serve/reactor.hpp"
 
 namespace {
 
@@ -36,7 +40,7 @@ orf::Config daemon_config() {
   config.forest.n_trees = 5;
   config.forest.tree.n_tests = 16;
   config.serve.port = 0;  // ephemeral
-  config.serve.threads = 2;
+  config.serve.workers = 2;
   config.engine.shards = 2;
   return config;
 }
@@ -109,28 +113,38 @@ class Client {
   bool connected_ = false;
 };
 
-/// One running daemon (service + api + server) on an ephemeral port.
+/// One running daemon on an ephemeral port: Service, Api, Overload,
+/// ScoreBatcher, Dispatcher and ReactorServer, wired as orfd wires them.
 class Daemon {
  public:
   explicit Daemon(const orf::Config& config)
       : service_(kFeatures, config),
         api_(service_),
-        server_(
-            config.serve,
-            [this](const serve::Request& r) { return api_.handle(r); },
-            &service_.metrics_registry()) {
+        overload_(config.serve, service_.metrics_registry()),
+        batcher_(api_, config.serve),
+        server_(config.serve, serve::Dispatcher(api_, batcher_, &overload_),
+                &service_.metrics_registry()) {
+    batcher_.set_overload(&overload_);
+    overload_.set_queue_age_probe(
+        [this] { return batcher_.oldest_wait_seconds(); });
+    batcher_.start();
+    server_.set_overload(&overload_);
+    server_.set_drain_hook([this] { batcher_.stop(); });
     server_.start();
   }
   ~Daemon() { server_.stop(); }
 
   orf::Service& service() { return service_; }
-  serve::HttpServer& server() { return server_; }
+  serve::Overload& overload() { return overload_; }
+  serve::ReactorServer& server() { return server_; }
   int port() const { return server_.port(); }
 
  private:
   orf::Service service_;
   serve::Api api_;
-  serve::HttpServer server_;
+  serve::Overload overload_;
+  serve::ScoreBatcher batcher_;
+  serve::ReactorServer server_;
 };
 
 std::string ingest_body(data::Day day, std::size_t disks,
@@ -209,7 +223,7 @@ TEST(Daemon, HealthzScoreIngestMetricsRoundTrip) {
   EXPECT_EQ(metrics.status, 200);
   for (const char* series :
        {"orf_serve_requests_total", "orf_serve_request_seconds",
-        "orf_serve_in_flight", "orf_engine_shard_ingested_total",
+        "orf_serve_open_connections", "orf_engine_shard_ingested_total",
         "orf_forest_flat_rebuilds_total"}) {
     EXPECT_NE(metrics.body.find(series), std::string::npos) << series;
   }
@@ -411,25 +425,12 @@ TEST(Daemon, WalFailureDegradesToScoreOnlyOverHttpAndRecoversInPlace) {
 }
 
 TEST(Daemon, OverloadShedsIngestFirstOverHttpAndTheCounterReconciles) {
-  // The orfd blocking-mode wiring: handler routed through a Dispatcher that
-  // consults the Overload policy before touching the Api.
+  // The Dispatcher consults the Overload policy before touching the Api.
   orf::Config config = daemon_config();
   config.serve.shed_high_water = 2;
-  orf::Service service(kFeatures, config);
-  serve::Api api(service);
-  serve::Overload overload(config.serve, service.metrics_registry());
-  serve::Dispatcher dispatcher(api, nullptr, &overload);
-  serve::HttpServer server(
-      config.serve,
-      [&dispatcher](const serve::Request& request) {
-        serve::Response out;
-        dispatcher(request,
-                   [&out](serve::Response response) { out = std::move(response); });
-        return out;
-      },
-      &service.metrics_registry());
-  server.start();
-  Client client(server.port());
+  Daemon daemon(config);
+  serve::Overload& overload = daemon.overload();
+  Client client(daemon.port());
   ASSERT_TRUE(client.connected());
 
   // Quiet daemon: everything admitted.
@@ -461,9 +462,9 @@ TEST(Daemon, OverloadShedsIngestFirstOverHttpAndTheCounterReconciles) {
   overload.end_request();
   EXPECT_EQ(client.request("POST", "/v1/ingest", ingest_body(1, 3)).status,
             200);
-  EXPECT_EQ(counter_value(service.metrics_snapshot(), "orf_serve_shed_total"),
+  EXPECT_EQ(counter_value(daemon.service().metrics_snapshot(),
+                          "orf_serve_shed_total"),
             static_cast<std::uint64_t>(shed_observed));
-  server.stop();
 }
 
 }  // namespace

@@ -1,12 +1,12 @@
 // ReactorServer integration tests: a real orf::Service behind the epoll
 // reactor (Dispatcher + ScoreBatcher) on an ephemeral port, driven through
-// raw sockets. Pins down what the event loop must get right that the
-// blocking server gets for free: pipelined responses leaving in request
-// order even when completions land out of order, a stalled reader costing a
-// buffer instead of a worker (the slow-client regression test, with a tiny
-// SO_RCVBUF), idle keep-alive connections culled by the sweep, 429
-// admission control, and reactor responses byte-identical to the blocking
-// server's when both front the same Service.
+// raw sockets. Pins down what the event loop must get right that a
+// thread-per-connection server gets for free: pipelined responses leaving
+// in request order even when completions land out of order, a stalled
+// reader costing a buffer instead of a worker (the slow-client regression
+// test, with a tiny SO_RCVBUF), idle keep-alive connections culled by the
+// sweep, 429 admission control, and reactor responses byte-identical to
+// serve::Api::handle run in process on a twin Service.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -27,8 +27,8 @@
 #include "serve/batcher.hpp"
 #include "serve/dispatch.hpp"
 #include "serve/handlers.hpp"
+#include "serve/http.hpp"
 #include "serve/reactor.hpp"
-#include "serve/server.hpp"
 
 namespace {
 
@@ -152,14 +152,14 @@ class Client {
 };
 
 /// One running reactor daemon: Service, Api, ScoreBatcher, Dispatcher and
-/// ReactorServer, wired exactly as orfd wires --serve-mode reactor.
+/// ReactorServer, wired as orfd wires them (without the overload policy).
 class ReactorDaemon {
  public:
   explicit ReactorDaemon(const orf::Config& config)
       : service_(kFeatures, config),
         api_(service_),
         batcher_(api_, config.serve),
-        server_(config.serve, serve::Dispatcher(api_, &batcher_),
+        server_(config.serve, serve::Dispatcher(api_, batcher_),
                 &service_.metrics_registry()) {
     batcher_.start();
     server_.set_drain_hook([this] { batcher_.stop(); });
@@ -226,39 +226,75 @@ TEST(ReactorServerTest, RoundTripsEveryRoute) {
   EXPECT_NE(wrong.headers.find("Allow: POST"), std::string::npos);
 }
 
-TEST(ReactorServerTest, MatchesBlockingServerByteForByte) {
-  // One Service, both serving models in front of it: any divergence is the
-  // reactor's (or the batcher's) fault, not the forest's.
+TEST(ReactorServerTest, MatchesInProcessApiByteForByte) {
+  // Two Services built from one config see the same request sequence: one
+  // behind the reactor (batched /v1/score included), one through
+  // Api::handle in process. Any divergence in a response's wire bytes is
+  // the reactor's (or the batcher's) fault, not the forest's.
   const orf::Config config = reactor_config();
-  orf::Service service(kFeatures, config);
-  serve::Api api(service);
+  ReactorDaemon daemon(config);
+  orf::Service twin_service(kFeatures, config);
+  serve::Api twin(twin_service);
+  Client client(daemon.port());
+  ASSERT_TRUE(client.connected());
 
-  serve::ScoreBatcher batcher(api, config.serve);
-  batcher.start();
-  serve::ReactorServer reactor(config.serve,
-                               serve::Dispatcher(api, &batcher),
-                               nullptr);
-  reactor.set_drain_hook([&batcher] { batcher.stop(); });
-  reactor.start();
-
-  serve::HttpServer blocking(
-      config.serve,
-      [&api](const serve::Request& r) { return api.handle(r); }, nullptr);
-  blocking.start();
-
-  for (int tag : {10, 20, 30}) {
-    Client via_reactor(reactor.port());
-    Client via_blocking(blocking.port());
-    const std::string body = score_body(tag, static_cast<std::size_t>(tag) %
-                                                 5 + 1);
-    const ClientResponse a = via_reactor.request("POST", "/v1/score", body);
-    const ClientResponse b = via_blocking.request("POST", "/v1/score", body);
-    EXPECT_EQ(a.status, 200);
-    EXPECT_EQ(a.status, b.status);
-    EXPECT_EQ(a.body, b.body) << "scores diverged for tag " << tag;
+  struct Case {
+    std::string method;
+    std::string target;
+    std::string body;
+  };
+  const std::string day0 =
+      "{\"reports\":[{\"disk\":0,\"features\":[1,2,3,4]},"
+      "{\"disk\":1,\"features\":[4,3,2,1]}]}";
+  const std::string day1 =
+      "{\"reports\":[{\"disk\":0,\"features\":[2,2,3,5]},"
+      "{\"disk\":1,\"features\":[4,1,2,1],\"fate\":\"failure\"}]}";
+  const std::vector<Case> cases = {
+      {"GET", "/healthz", ""},
+      {"GET", "/healthz?ready", ""},
+      {"POST", "/v1/score", score_body(10, 1)},
+      {"POST", "/v1/ingest", day0},
+      {"POST", "/v1/score", score_body(20, 2)},
+      {"POST", "/v1/ingest", day1},
+      {"POST", "/v1/score", score_body(30, 3)},
+      {"GET", "/healthz", ""},
+      {"POST", "/v1/score", "{\"rows\":"},         // malformed JSON
+      {"POST", "/v1/score", "{\"rows\":[[1,2]]}"},  // wrong row width
+      {"POST", "/v1/ingest", "{\"reports\":[{\"disk\":0}]}"},
+      {"GET", "/v1/score", ""},   // known route, wrong method
+      {"POST", "/metrics", ""},   // known route, wrong method
+      {"GET", "/nope", ""},       // unknown route
+  };
+  const auto wire_of = [](const Case& c) {
+    std::string wire = c.method + " " + c.target + " HTTP/1.1\r\n";
+    if (c.method == "POST") {
+      wire += "Content-Length: " + std::to_string(c.body.size()) + "\r\n";
+    }
+    return wire + "\r\n" + c.body;
+  };
+  const auto in_process = [&twin](const std::string& wire) {
+    serve::RequestParser parser;
+    EXPECT_EQ(parser.feed(wire), serve::RequestParser::State::kComplete);
+    return serve::serialize(twin.handle(parser.take()), /*keep_alive=*/true);
+  };
+  for (const Case& c : cases) {
+    const std::string wire = wire_of(c);
+    const std::string expected = in_process(wire);
+    client.send_raw(wire);
+    const ClientResponse got = client.read_response();
+    EXPECT_EQ(got.headers + got.body, expected)
+        << c.method << " " << c.target << " " << c.body;
   }
-  blocking.stop();
-  reactor.stop();
+
+  // /metrics counts the very requests above, and the reactor and batcher
+  // add series of their own, so only the head up to Content-Length can
+  // match byte for byte.
+  const std::string wire = wire_of({"GET", "/metrics", ""});
+  const std::string expected = in_process(wire);
+  client.send_raw(wire);
+  const ClientResponse metrics = client.read_response();
+  EXPECT_EQ(metrics.headers.substr(0, metrics.headers.find("Content-Length")),
+            expected.substr(0, expected.find("Content-Length")));
 }
 
 TEST(ReactorServerTest, PipelinedResponsesLeaveInRequestOrder) {
